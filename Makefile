@@ -1,18 +1,19 @@
 GO ?= go
 
-.PHONY: build build-vet verify vet-security fmt-check test race chaos load-smoke resume-smoke churn-smoke bench-server bench-multi bench-phases bench-chaos bench-churn bench-load bench-resume bench-frames bench-obs obs-demo trace-demo clean
+.PHONY: build build-vet verify vet-security fmt-check test perfbench-test race chaos load-smoke resume-smoke churn-smoke bench-server bench-multi bench-phases bench-chaos bench-churn bench-load bench-resume bench-frames bench-obs obs-demo trace-demo clean
 
 build:
 	$(GO) build ./...
 
 # Tier-1 verification (see ROADMAP.md): formatting, build, vet (stdlib
-# analyzers plus the elide-vet secrecy suite), full tests, the race
-# detector over the transport-heavy packages and the tracer, and
-# short-mode chaos and load smoke runs.
+# analyzers plus the elide-vet secrecy suite), full tests including the
+# nested perfbench module's, the race detector over the transport-heavy
+# packages and the tracer, and short-mode chaos and load smoke runs.
 verify: fmt-check build
 	$(GO) vet ./...
 	$(MAKE) vet-security
 	$(GO) test ./...
+	$(MAKE) perfbench-test
 	$(GO) test -race ./internal/elide/... ./internal/sdk/...
 	$(GO) test -race ./internal/obs/...
 	$(MAKE) bench-obs
@@ -41,6 +42,12 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# The benchmark's own tests. perfbench is a nested module, so the root
+# `go test ./...` skips it, yet it drives the internal packages through
+# their public APIs.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/elide/... ./internal/sdk/... ./internal/obs/...

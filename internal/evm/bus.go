@@ -20,19 +20,39 @@ type Bus interface {
 
 // FlatMem is a flat byte-addressed memory with uniform RWX permission,
 // used for bare (non-enclave) programs: compiler tests, assembler tests,
-// and the toolchain's program-under-test harness.
+// and the toolchain's program-under-test harness; and as a host's untrusted
+// memory. Only the prefix up to the highest byte written so far is backed:
+// bytes past it read as zero, so a large reservation costs nothing until it
+// is used.
 type FlatMem struct {
 	Base uint64
-	Data []byte
+	size uint64 // bytes addressable from Base
+	data []byte // the backed prefix
 }
 
-// NewFlatMem allocates size bytes of flat memory based at base.
+// NewFlatMem reserves size bytes of zeroed flat memory based at base.
 func NewFlatMem(base uint64, size int) *FlatMem {
-	return &FlatMem{Base: base, Data: make([]byte, size)}
+	return &FlatMem{Base: base, size: uint64(size)}
 }
 
 func (m *FlatMem) in(addr uint64, n int) bool {
-	return addr >= m.Base && addr-m.Base+uint64(n) <= uint64(len(m.Data))
+	return addr >= m.Base && addr-m.Base+uint64(n) <= m.size
+}
+
+// read copies the bytes at offset off into dst.
+func (m *FlatMem) read(off uint64, dst []byte) {
+	n := 0
+	if off < uint64(len(m.data)) {
+		n = copy(dst, m.data[off:])
+	}
+	clear(dst[n:])
+}
+
+// extend backs the prefix up to offset end.
+func (m *FlatMem) extend(end uint64) {
+	if have := uint64(len(m.data)); end > have {
+		m.data = append(m.data, make([]byte, end-have)...)
+	}
 }
 
 // Fetch implements Bus.
@@ -40,7 +60,7 @@ func (m *FlatMem) Fetch(addr uint64, dst []byte) *Fault {
 	if !m.in(addr, len(dst)) {
 		return &Fault{Kind: FaultBadAddress, Addr: addr}
 	}
-	copy(dst, m.Data[addr-m.Base:])
+	m.read(addr-m.Base, dst)
 	return nil
 }
 
@@ -49,7 +69,13 @@ func (m *FlatMem) Load(addr uint64, n int) (uint64, *Fault) {
 	if !m.in(addr, n) {
 		return 0, &Fault{Kind: FaultBadAddress, Addr: addr}
 	}
-	return loadLE(m.Data[addr-m.Base:], n), nil
+	off := addr - m.Base
+	if off+uint64(n) <= uint64(len(m.data)) {
+		return loadLE(m.data[off:], n), nil
+	}
+	var buf [8]byte
+	m.read(off, buf[:n])
+	return loadLE(buf[:], n), nil
 }
 
 // Store implements Bus.
@@ -57,7 +83,9 @@ func (m *FlatMem) Store(addr uint64, n int, v uint64) *Fault {
 	if !m.in(addr, n) {
 		return &Fault{Kind: FaultBadAddress, Addr: addr}
 	}
-	storeLE(m.Data[addr-m.Base:], n, v)
+	off := addr - m.Base
+	m.extend(off + uint64(n))
+	storeLE(m.data[off:], n, v)
 	return nil
 }
 
@@ -67,7 +95,11 @@ func (m *FlatMem) WriteBytes(addr uint64, b []byte) bool {
 	if !m.in(addr, len(b)) {
 		return false
 	}
-	copy(m.Data[addr-m.Base:], b)
+	if len(b) > 0 {
+		off := addr - m.Base
+		m.extend(off + uint64(len(b)))
+		copy(m.data[off:], b)
+	}
 	return true
 }
 
@@ -77,7 +109,7 @@ func (m *FlatMem) ReadBytes(addr uint64, n int) ([]byte, bool) {
 		return nil, false
 	}
 	out := make([]byte, n)
-	copy(out, m.Data[addr-m.Base:])
+	m.read(addr-m.Base, out)
 	return out, true
 }
 

@@ -192,10 +192,11 @@ func (h *Host) CreateEnclave(elfBytes []byte, ss *sgx.SigStruct, iface *edl.Inte
 }
 
 // MeasureELF computes the measurement the loader would produce for an
-// enclave image, without consuming EPC — the signing tool uses this to
-// build the SIGSTRUCT.
+// enclave image — the signing tool uses this to build the SIGSTRUCT. It
+// runs ECREATE, EADD and EEXTEND on the host's platform and destroys the
+// enclave before returning, so it holds one EPC page per image page while
+// it runs and fails with "EPC exhausted" when the platform has too few free.
 func MeasureELF(h *Host, elfBytes []byte) ([32]byte, error) {
-	// Load into a scratch platform so EINIT state is untouched.
 	var zero [32]byte
 	f, err := elf.Read(elfBytes)
 	if err != nil {
@@ -217,6 +218,7 @@ func MeasureELF(h *Host, elfBytes []byte) ([32]byte, error) {
 // the measured loading loop shared by enclave creation and the signing
 // tool's measurement prediction.
 func loadEnclavePages(p *sgx.Platform, encl *sgx.Enclave, f *elf.File) error {
+	page := make([]byte, sgx.PageSize) // EADD copies it, so one buffer serves every page
 	for _, ph := range f.Phdrs {
 		if ph.Type != elf.PTLoad {
 			continue
@@ -233,7 +235,7 @@ func loadEnclavePages(p *sgx.Platform, encl *sgx.Enclave, f *elf.File) error {
 		}
 		npages := (ph.Memsz + sgx.PageSize - 1) / sgx.PageSize
 		for i := uint64(0); i < npages; i++ {
-			page := make([]byte, sgx.PageSize)
+			clear(page)
 			fileOff := i * sgx.PageSize
 			if fileOff < ph.Filesz {
 				n := ph.Filesz - fileOff

@@ -101,6 +101,18 @@ uint64_t ecall_get_secret(void) { return g_secret; }
 // buildTestEnclave builds, signs, and loads the test enclave.
 func buildTestEnclave(t *testing.T) (*Host, *Enclave) {
 	t.Helper()
+	host, res, ss := signTestEnclave(t)
+	encl, err := host.CreateEnclave(res.ELF, ss, res.EDL)
+	if err != nil {
+		t.Fatalf("create enclave: %v", err)
+	}
+	return host, encl
+}
+
+// signTestEnclave builds the test enclave and signs it, measuring it on a
+// fresh machine, which it returns.
+func signTestEnclave(t *testing.T) (*Host, *BuildResult, *sgx.SigStruct) {
+	t.Helper()
 	ca, err := sgx.NewCA()
 	if err != nil {
 		t.Fatal(err)
@@ -127,11 +139,7 @@ func buildTestEnclave(t *testing.T) (*Host, *Enclave) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encl, err := host.CreateEnclave(res.ELF, ss, res.EDL)
-	if err != nil {
-		t.Fatalf("create enclave: %v", err)
-	}
-	return host, encl
+	return host, res, ss
 }
 
 func TestECallScalar(t *testing.T) {

@@ -20,24 +20,6 @@ type AddressSpace struct {
 	// Page contents are never exposed, only (page number, access kind),
 	// exactly the attacker's view the paper's §7 discusses.
 	PageTrace func(page uint64, kind evm.Access)
-
-	// One-entry TLB over the EPCM page map. Safe because pages are never
-	// remapped while an enclave is live (permission restriction via EMODPR
-	// mutates the cached page in place).
-	tlbBase uint64
-	tlbPage *epcPage
-}
-
-// lookupPage resolves the EPC page containing base (page aligned).
-func (a *AddressSpace) lookupPage(base uint64) (*epcPage, bool) {
-	if a.tlbPage != nil && a.tlbBase == base {
-		return a.tlbPage, true
-	}
-	pg, ok := a.Enclave.pages[base]
-	if ok {
-		a.tlbBase, a.tlbPage = base, pg
-	}
-	return pg, ok
 }
 
 var _ evm.Bus = (*AddressSpace)(nil)
@@ -49,8 +31,8 @@ var _ evm.CodeVersioner = (*AddressSpace)(nil)
 // also covers permission restrictions on mapped pages because the epoch is
 // folded into every page's reported version.
 func (a *AddressSpace) CodeVersion(addr uint64) uint64 {
-	pg, ok := a.lookupPage(addr &^ uint64(PageSize-1))
-	if !ok {
+	pg := a.Enclave.page(addr)
+	if pg == nil {
 		return a.Enclave.codeVersion
 	}
 	return pg.writeGen + a.Enclave.codeVersion<<32
@@ -83,8 +65,8 @@ func (a *AddressSpace) access(addr uint64, buf []byte, kind evm.Access, write bo
 		}
 	}
 	if (addr+uint64(len(buf))-1)&^uint64(PageSize-1) == base {
-		pg, ok := a.lookupPage(base)
-		if !ok {
+		pg := a.Enclave.page(base)
+		if pg == nil {
 			return &evm.Fault{Kind: evm.FaultBadAddress, Addr: addr, Msg: "unmapped enclave page"}
 		}
 		if pg.perm&need == 0 {
@@ -106,8 +88,8 @@ func (a *AddressSpace) access(addr uint64, buf []byte, kind evm.Access, write bo
 	}
 	for i := range buf {
 		va := addr + uint64(i)
-		pg, ok := a.lookupPage(va &^ uint64(PageSize-1))
-		if !ok {
+		pg := a.Enclave.page(va)
+		if pg == nil {
 			return &evm.Fault{Kind: evm.FaultBadAddress, Addr: va, Msg: "unmapped enclave page"}
 		}
 		if pg.perm&need == 0 {

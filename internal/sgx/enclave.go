@@ -15,9 +15,12 @@ type Enclave struct {
 	Size  uint64 // ELRANGE size (page aligned)
 	Entry uint64 // single architectural entry point (TCS entry)
 
-	pages map[uint64]*epcPage
+	// epcm is the enclave's share of the EPCM: one slot per ELRANGE page,
+	// unmapped until EADD puts an EPC page there.
+	epcm []epcmEntry
 
 	mrHash      hash.Hash // running measurement (SHA-256 chained)
+	rec         [32]byte  // record being measured; a local would escape to the heap through mrHash.Write
 	MrEnclave   [32]byte  // final measurement, fixed at EINIT
 	MrSigner    [32]byte  // SHA-256 of the signer's modulus, fixed at EINIT
 	initialized bool
@@ -32,11 +35,24 @@ type Enclave struct {
 // Initialized reports whether EINIT has succeeded.
 func (e *Enclave) Initialized() bool { return e.initialized }
 
+// page returns the EPCM entry of the page containing vaddr, or nil when
+// that page is unmapped or outside ELRANGE.
+func (e *Enclave) page(vaddr uint64) *epcmEntry {
+	i := (vaddr - e.Base) / PageSize // wraps past len(epcm) below Base
+	if i >= uint64(len(e.epcm)) || e.epcm[i].data == nil {
+		return nil
+	}
+	return &e.epcm[i]
+}
+
 // ECreate allocates a new enclave with the given linear range and entry
 // point. The range geometry and entry are measured.
 func (p *Platform) ECreate(base, size, entry uint64) (*Enclave, error) {
 	if base%PageSize != 0 || size%PageSize != 0 || size == 0 {
 		return nil, fmt.Errorf("sgx: ECREATE: unaligned ELRANGE %#x+%#x", base, size)
+	}
+	if size > MaxEnclaveSize {
+		return nil, fmt.Errorf("%w: %#x > %#x bytes", ErrEnclaveTooLarge, size, uint64(MaxEnclaveSize))
 	}
 	if entry < base || entry >= base+size {
 		return nil, fmt.Errorf("sgx: ECREATE: entry %#x outside ELRANGE", entry)
@@ -46,14 +62,14 @@ func (p *Platform) ECreate(base, size, entry uint64) (*Enclave, error) {
 		Base:     base,
 		Size:     size,
 		Entry:    entry,
-		pages:    make(map[uint64]*epcPage),
+		epcm:     make([]epcmEntry, size/PageSize),
 		mrHash:   sha256.New(),
 	}
-	var rec [8 + 8 + 8 + 8]byte
-	copy(rec[:], "ECREATE\x00")
+	rec := e.rec[:8+8+8+8]
+	copy(rec, "ECREATE\x00")
 	binary.LittleEndian.PutUint64(rec[8:], size)
 	binary.LittleEndian.PutUint64(rec[16:], entry-base)
-	e.mrHash.Write(rec[:])
+	e.mrHash.Write(rec)
 	return e, nil
 }
 
@@ -76,7 +92,7 @@ func (p *Platform) EAdd(e *Enclave, vaddr uint64, perm Perm, src []byte) error {
 	if len(src) != PageSize {
 		return fmt.Errorf("sgx: EADD: source must be exactly one page")
 	}
-	if _, dup := e.pages[vaddr]; dup {
+	if e.page(vaddr) != nil {
 		return fmt.Errorf("sgx: EADD: page %#x already added", vaddr)
 	}
 	if perm&PermR == 0 {
@@ -86,18 +102,14 @@ func (p *Platform) EAdd(e *Enclave, vaddr uint64, perm Perm, src []byte) error {
 	if err != nil {
 		return err
 	}
-	copy(pg.data[:], src)
-	pg.vaddr = vaddr
-	pg.perm = perm
-	pg.enclave = e
-	pg.valid = true
-	e.pages[vaddr] = pg
+	copy(pg[:], src)
+	e.epcm[(vaddr-e.Base)/PageSize] = epcmEntry{data: pg, perm: perm}
 
-	var rec [24]byte
-	copy(rec[:], "EADD\x00\x00\x00\x00")
+	rec := e.rec[:24]
+	copy(rec, "EADD\x00\x00\x00\x00")
 	binary.LittleEndian.PutUint64(rec[8:], vaddr-e.Base)
 	binary.LittleEndian.PutUint64(rec[16:], uint64(perm))
-	e.mrHash.Write(rec[:])
+	e.mrHash.Write(rec)
 	return nil
 }
 
@@ -113,14 +125,14 @@ func (p *Platform) EExtend(e *Enclave, vaddr uint64) error {
 	if vaddr%EExtendChunk != 0 {
 		return fmt.Errorf("sgx: EEXTEND: vaddr %#x not 256-byte aligned", vaddr)
 	}
-	pg, ok := e.pages[vaddr&^uint64(PageSize-1)]
-	if !ok {
+	pg := e.page(vaddr)
+	if pg == nil {
 		return fmt.Errorf("sgx: EEXTEND: no page at %#x", vaddr)
 	}
-	var rec [16]byte
-	copy(rec[:], "EEXTEND\x00")
+	rec := e.rec[:16]
+	copy(rec, "EEXTEND\x00")
 	binary.LittleEndian.PutUint64(rec[8:], vaddr-e.Base)
-	e.mrHash.Write(rec[:])
+	e.mrHash.Write(rec)
 	off := vaddr & (PageSize - 1)
 	e.mrHash.Write(pg.data[off : off+EExtendChunk])
 	return nil
@@ -165,8 +177,8 @@ func (p *Platform) EModPR(e *Enclave, vaddr uint64, perm Perm) error {
 	if !e.initialized {
 		return fmt.Errorf("sgx: EMODPR before EINIT")
 	}
-	pg, ok := e.pages[vaddr&^uint64(PageSize-1)]
-	if !ok {
+	pg := e.page(vaddr)
+	if pg == nil {
 		return fmt.Errorf("sgx: EMODPR: no page at %#x", vaddr)
 	}
 	if perm&^pg.perm != 0 {
@@ -179,22 +191,24 @@ func (p *Platform) EModPR(e *Enclave, vaddr uint64, perm Perm) error {
 
 // PagePerm returns the EPCM permissions of the page containing vaddr.
 func (e *Enclave) PagePerm(vaddr uint64) (Perm, bool) {
-	pg, ok := e.pages[vaddr&^uint64(PageSize-1)]
-	if !ok {
+	pg := e.page(vaddr)
+	if pg == nil {
 		return 0, false
 	}
 	return pg.perm, true
 }
 
-// Destroy returns all the enclave's pages to the EPC pool.
+// Destroy wipes the enclave's pages and returns them to the EPC.
 func (p *Platform) Destroy(e *Enclave) {
 	if e.destroyed {
 		return
 	}
-	for _, pg := range e.pages {
-		p.freePage(pg)
+	for _, ent := range e.epcm {
+		if ent.data != nil {
+			p.freePage(ent.data)
+		}
 	}
-	e.pages = nil
+	e.epcm = nil
 	e.destroyed = true
 	e.initialized = false
 }

@@ -6,12 +6,12 @@ import (
 	"sgxelide/internal/evm"
 )
 
-// TestSelfModificationInvalidatesICache is the correctness condition the
-// decoded-instruction cache must honor for SgxElide to work at all: after
-// enclave code overwrites an already-executed instruction, the next
-// execution must see the new bytes, not a stale decode.
-func TestSelfModificationInvalidatesICache(t *testing.T) {
-	_, p := testEnv(t, Config{EPCPages: 64})
+// codeEnclave builds an enclave whose RWX first page holds "movi r0, 1;
+// eexit 0" and returns its address space and a function that runs that
+// code, reporting how it stopped and the final r0.
+func codeEnclave(t *testing.T, cfg Config) (*Platform, *AddressSpace, func() (evm.Stop, uint64)) {
+	t.Helper()
+	_, p := testEnv(t, cfg)
 	key := devKey(t)
 
 	// Page content: movi r0, 1; eexit 0 — with RWX permissions (the
@@ -28,15 +28,25 @@ func TestSelfModificationInvalidatesICache(t *testing.T) {
 	as := &AddressSpace{Enclave: e, Untrusted: evm.NewFlatMem(0x1000, 4096)}
 	m := evm.New(as)
 	m.MaxSteps = 1000
-
-	run := func() uint64 {
+	return p, as, func() (evm.Stop, uint64) {
 		m.PC = base
 		m.SetSP(0x1000 + 4096)
-		stop := m.Run()
+		return m.Run(), m.Reg[0]
+	}
+}
+
+// TestSelfModificationInvalidatesICache is the correctness condition the
+// decoded-instruction cache must honor for SgxElide to work at all: after
+// enclave code overwrites an already-executed instruction, the next
+// execution must see the new bytes, not a stale decode.
+func TestSelfModificationInvalidatesICache(t *testing.T) {
+	_, as, enter := codeEnclave(t, Config{EPCPages: 64})
+	run := func() uint64 {
+		stop, r0 := enter()
 		if stop.Reason != evm.StopExit {
 			t.Fatalf("stop = %v", stop)
 		}
-		return m.Reg[0]
+		return r0
 	}
 
 	if got := run(); got != 1 {
@@ -60,6 +70,30 @@ func TestSelfModificationInvalidatesICache(t *testing.T) {
 	}
 	if got := run(); got != 3 {
 		t.Fatalf("after byte-wise self-modification: r0 = %d, want 3", got)
+	}
+}
+
+// TestEModPRInvalidatesICache: EMODPR revoking X from a page whose code the
+// VM has already decoded must make the next fetch fault, not run the stale
+// decode.
+func TestEModPRInvalidatesICache(t *testing.T) {
+	p, as, enter := codeEnclave(t, Config{EPCPages: 64, SGX2: true})
+	if stop, r0 := enter(); stop.Reason != evm.StopExit || r0 != 1 {
+		t.Fatalf("first run: %v, r0 = %d", stop, r0)
+	}
+	// Dropping only W leaves the code runnable.
+	if err := p.EModPR(as.Enclave, base, PermR|PermX); err != nil {
+		t.Fatal(err)
+	}
+	if stop, r0 := enter(); stop.Reason != evm.StopExit || r0 != 1 {
+		t.Fatalf("after EMODPR to r-x: %v, r0 = %d", stop, r0)
+	}
+	if err := p.EModPR(as.Enclave, base, PermR); err != nil {
+		t.Fatal(err)
+	}
+	stop, _ := enter()
+	if stop.Reason != evm.StopFault || stop.Fault.Kind != evm.FaultExecPerm || stop.Fault.Addr != base {
+		t.Fatalf("after EMODPR to r--: %v, want an execute fault at %#x (stale icache?)", stop, base)
 	}
 }
 

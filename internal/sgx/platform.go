@@ -27,6 +27,7 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 )
 
@@ -56,33 +57,45 @@ func (p Perm) String() string {
 	return string(s[:])
 }
 
-// epcPage is one EPC page plus its EPCM entry.
-type epcPage struct {
-	data    [PageSize]byte
-	vaddr   uint64
-	perm    Perm
-	enclave *Enclave
-	valid   bool
+// epcmEntry is one EPCM slot: the EPC page mapped at one ELRANGE page and
+// its permissions. data is nil while the slot is unmapped.
+type epcmEntry struct {
+	data *[PageSize]byte
+	perm Perm
 
 	// writeGen increases on every write to this page while it is
 	// executable, invalidating the VM's decoded-instruction cache for it.
 	writeGen uint64
 }
 
+// MaxEnclaveSize is the largest ELRANGE ECREATE accepts: the model's
+// CPUID.(EAX=12H,ECX=0):EDX MaxEnclaveSize, 2^31 bytes. It bounds the EPCM
+// slice an enclave image (outside input) can make ECREATE allocate.
+const MaxEnclaveSize = 1 << 31
+
+// ErrEnclaveTooLarge is returned by ECREATE for an ELRANGE larger than
+// MaxEnclaveSize.
+var ErrEnclaveTooLarge = errors.New("sgx: ELRANGE exceeds MaxEnclaveSize")
+
 // Config controls platform construction.
 type Config struct {
-	EPCPages int  // number of EPC pages; default 32768 (128 MiB)
+	EPCPages int  // EPC budget in pages; default 32768 (128 MiB)
 	SGX2     bool // enable the EMODPR-style permission-restrict extension
 }
 
 // Platform is one SGX-capable machine: its EPC, its fused secrets, and its
 // provisioned quoting enclave.
+//
+// The EPC is a budget of cfg.EPCPages pages, as the PRM reserves a fixed
+// amount of DRAM, but the model only backs the pages live enclaves hold: EADD
+// takes a page while the budget lasts, and Destroy wipes its enclave's pages
+// and keeps them for reuse.
 type Platform struct {
 	cfg     Config
-	epc     []epcPage
-	free    []int    // free page indexes
-	fuseKey [32]byte // hardware secret fused into the CPU
-	meeKey  [32]byte // memory encryption engine key (boot-random)
+	used    int               // EPC pages held by live enclaves
+	spare   []*[PageSize]byte // zeroed pages not handed out
+	fuseKey [32]byte          // hardware secret fused into the CPU
+	meeKey  [32]byte          // memory encryption engine key (boot-random)
 
 	qeKey  *ecdsa.PrivateKey // quoting enclave's device attestation key
 	qeCert []byte            // CA signature over the QE public key
@@ -95,11 +108,7 @@ func NewPlatform(cfg Config, ca *CA) (*Platform, error) {
 	if cfg.EPCPages == 0 {
 		cfg.EPCPages = 32768
 	}
-	p := &Platform{cfg: cfg, epc: make([]epcPage, cfg.EPCPages)}
-	p.free = make([]int, cfg.EPCPages)
-	for i := range p.free {
-		p.free[i] = cfg.EPCPages - 1 - i
-	}
+	p := &Platform{cfg: cfg}
 	if _, err := rand.Read(p.fuseKey[:]); err != nil {
 		return nil, fmt.Errorf("sgx: fusing platform key: %w", err)
 	}
@@ -120,32 +129,41 @@ func NewPlatform(cfg Config, ca *CA) (*Platform, error) {
 }
 
 // FreePages returns the number of unallocated EPC pages.
-func (p *Platform) FreePages() int { return len(p.free) }
+func (p *Platform) FreePages() int { return p.cfg.EPCPages - p.used }
 
 // SGX2 reports whether the EMODPR-style extension is enabled.
 func (p *Platform) SGX2() bool { return p.cfg.SGX2 }
 
-// allocPage takes a free EPC page.
-func (p *Platform) allocPage() (*epcPage, error) {
-	if len(p.free) == 0 {
+// epcChunk is how many fresh pages allocPage allocates at once: one 256 KiB
+// allocation costs far less than 64 small ones, and a platform holds at most
+// epcChunk-1 pages it has not handed out.
+const epcChunk = 64
+
+// allocPage takes a zeroed EPC page out of the budget: a spare one if
+// Destroy left any, a fresh one otherwise.
+func (p *Platform) allocPage() (*[PageSize]byte, error) {
+	if p.used >= p.cfg.EPCPages {
 		return nil, fmt.Errorf("sgx: EPC exhausted")
 	}
-	idx := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	pg := &p.epc[idx]
-	*pg = epcPage{}
+	if len(p.spare) == 0 {
+		fresh := make([][PageSize]byte, min(epcChunk, p.cfg.EPCPages-p.used))
+		for i := range fresh {
+			p.spare = append(p.spare, &fresh[i])
+		}
+	}
+	p.used++
+	n := len(p.spare)
+	pg := p.spare[n-1]
+	p.spare[n-1] = nil
+	p.spare = p.spare[:n-1]
 	return pg, nil
 }
 
-// freePage returns a page to the pool.
-func (p *Platform) freePage(pg *epcPage) {
-	for i := range p.epc {
-		if &p.epc[i] == pg {
-			p.epc[i] = epcPage{}
-			p.free = append(p.free, i)
-			return
-		}
-	}
+// freePage wipes a page (EREMOVE) and returns it to the budget.
+func (p *Platform) freePage(pg *[PageSize]byte) {
+	clear(pg[:])
+	p.spare = append(p.spare, pg)
+	p.used--
 }
 
 // deriveKey derives a platform-bound key: HMAC-SHA256(fuseKey, purpose ||
@@ -175,8 +193,8 @@ func (p *Platform) HostWrite(e *Enclave, vaddr uint64, data []byte) {}
 // enclave page: the MEE keeps EPC contents encrypted at rest (modeled as
 // AES-CTR under the boot-time MEE key with the page address as nonce).
 func (p *Platform) DumpDRAM(e *Enclave, vaddr uint64) ([]byte, error) {
-	pg, ok := e.pages[vaddr&^uint64(PageSize-1)]
-	if !ok {
+	pg := e.page(vaddr)
+	if pg == nil {
 		return nil, fmt.Errorf("sgx: no EPC page at %#x", vaddr)
 	}
 	return meeEncrypt(p.meeKey, vaddr, pg.data[:]), nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/rand"
 	"crypto/rsa"
+	"maps"
+	"slices"
 	"testing"
 
 	"sgxelide/internal/evm"
@@ -44,17 +46,32 @@ const (
 // enclave with the given page contents.
 func buildEnclave(t *testing.T, p *Platform, key *rsa.PrivateKey, pages map[uint64][]byte, perms map[uint64]Perm) *Enclave {
 	t.Helper()
+	e := addPages(t, p, pages, perms)
+	ss, err := SignEnclave(key, e.Measure(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EInit(e, ss); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// addPages ECREATEs the test ELRANGE, then EADDs and EEXTENDs the given
+// pages in ascending address order, each with perms[va] (default r-x).
+func addPages(t *testing.T, p *Platform, pages map[uint64][]byte, perms map[uint64]Perm) *Enclave {
+	t.Helper()
 	e, err := p.ECreate(base, size, entry)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for va, content := range pages {
+	for _, va := range slices.Sorted(maps.Keys(pages)) {
 		perm := perms[va]
 		if perm == 0 {
 			perm = PermR | PermX
 		}
 		page := make([]byte, PageSize)
-		copy(page, content)
+		copy(page, pages[va])
 		if err := p.EAdd(e, va, perm, page); err != nil {
 			t.Fatal(err)
 		}
@@ -63,13 +80,6 @@ func buildEnclave(t *testing.T, p *Platform, key *rsa.PrivateKey, pages map[uint
 				t.Fatal(err)
 			}
 		}
-	}
-	ss, err := SignEnclave(key, e.Measure(), 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.EInit(e, ss); err != nil {
-		t.Fatal(err)
 	}
 	return e
 }
