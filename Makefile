@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-vet verify vet-security fmt-check test perfbench-test race chaos load-smoke resume-smoke churn-smoke bench-server bench-multi bench-phases bench-chaos bench-churn bench-load bench-resume bench-frames bench-obs obs-demo trace-demo clean
+.PHONY: build build-vet verify vet-security fmt-check test perfbench-test race fuzz-smoke chaos load-smoke resume-smoke churn-smoke bench-server bench-multi bench-phases bench-chaos bench-churn bench-load bench-resume bench-frames bench-obs obs-demo trace-demo clean
 
 build:
 	$(GO) build ./...
@@ -8,7 +8,8 @@ build:
 # Tier-1 verification (see ROADMAP.md): formatting, build, vet (stdlib
 # analyzers plus the elide-vet secrecy suite), full tests including the
 # nested perfbench module's, the race detector over the transport-heavy
-# packages and the tracer, and short-mode chaos and load smoke runs.
+# packages and the tracer, a short fuzz of the handshake decoder, and
+# short-mode chaos and load smoke runs.
 verify: fmt-check build
 	$(GO) vet ./...
 	$(MAKE) vet-security
@@ -17,6 +18,7 @@ verify: fmt-check build
 	$(GO) test -race ./internal/elide/... ./internal/sdk/...
 	$(GO) test -race ./internal/obs/...
 	$(MAKE) bench-obs
+	$(MAKE) fuzz-smoke
 	$(MAKE) chaos
 	$(MAKE) load-smoke
 	$(MAKE) resume-smoke
@@ -52,13 +54,19 @@ perfbench-test:
 race:
 	$(GO) test -race ./internal/elide/... ./internal/sdk/... ./internal/obs/...
 
+# Ten seconds of native fuzzing on the handshake decoder, the one decoder
+# an unauthenticated peer reaches (FuzzReadHandshake in
+# internal/elide/handshake_test.go).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadHandshake$$' -fuzztime 10s ./internal/elide/
+
 # Scaled-down chaos smoke: replicated servers, a mid-run kill + restart,
 # scripted connection faults; every restore must succeed or fail typed.
 chaos:
 	$(GO) test -short -run TestChaosBenchSmoke -v ./internal/bench/
 
 # Scaled-down open-loop load smoke: a few dozen protocol-level restores,
-# pipelined and legacy, asserting 1 vs 3 wire flights per restore.
+# pipelined and unbundled, asserting 1 vs 3 wire flights per restore.
 load-smoke:
 	$(GO) test -short -run TestLoadBenchSmoke -v ./internal/bench/
 
@@ -101,7 +109,7 @@ bench-churn:
 	$(GO) run ./cmd/elide-bench -churn
 
 # Open-loop load test: 10k restores offered at a fixed arrival rate,
-# pipelined vs legacy protocol; writes BENCH_load.json.
+# pipelined vs unbundled; writes BENCH_load.json.
 bench-load:
 	$(GO) run ./cmd/elide-bench -load
 
@@ -112,10 +120,10 @@ bench-load:
 bench-resume:
 	$(GO) run ./cmd/elide-bench -resume
 
-# Frame read/write allocation microbenchmarks (the -benchmem numbers
-# EXPERIMENTS.md quotes).
+# Frame and handshake codec allocation microbenchmarks (the -benchmem
+# numbers EXPERIMENTS.md quotes).
 bench-frames:
-	$(GO) test -run '^$$' -bench 'Frame|WriteResponse|WriteErrorFrame' -benchmem ./internal/elide/
+	$(GO) test -run '^$$' -bench 'Frame|WriteResponse|WriteErrorFrame|Handshake' -benchmem ./internal/elide/
 
 # Observability hot-path budget gate: span start/finish and audit emit
 # must stay within 1 alloc/op at ring steady state (the AllocsPerRun

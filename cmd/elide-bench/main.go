@@ -67,12 +67,12 @@ func main() {
 		resumeSessions = flag.Int("resume-sessions", 16, "sessions to establish and resume for -resume")
 		resumeOut      = flag.String("resume-out", "BENCH_resume.json", "JSON output path for -resume")
 
-		load         = flag.Bool("load", false, "open-loop load test: offered-rate restores against one server, pipelined vs legacy protocol")
+		load         = flag.Bool("load", false, "open-loop load test: offered-rate restores against one server, pipelined vs unbundled")
 		loadProgram  = flag.String("load-program", "Sha1", "benchmark program for -load")
 		loadRate     = flag.Float64("load-rate", 500, "offered arrival rate for -load (restores/second)")
 		loadRestores = flag.Int("load-restores", 10000, "total restores offered per protocol for -load")
 		loadSessions = flag.Int("load-sessions", 1024, "server session cap for -load")
-		loadOnlyV1   = flag.Bool("load-skip-legacy", false, "measure only the pipelined protocol for -load")
+		loadOnlyV1   = flag.Bool("load-skip-legacy", false, "measure only the pipelined protocol for -load (skip the unbundled baseline)")
 		loadOut      = flag.String("load-out", "BENCH_load.json", "JSON output path for -load")
 
 		phases    = flag.Bool("phases", false, "measure the per-phase restore latency breakdown")
@@ -254,11 +254,11 @@ func main() {
 		fmt.Printf("(load-testing the authentication server: %d restores at %.0f rps...)\n",
 			*loadRestores, *loadRate)
 		res, err := bench.LoadBench(env, bench.LoadBenchConfig{
-			Program:     *loadProgram,
-			Rate:        *loadRate,
-			Restores:    *loadRestores,
-			MaxSessions: *loadSessions,
-			SkipLegacy:  *loadOnlyV1,
+			Program:       *loadProgram,
+			Rate:          *loadRate,
+			Restores:      *loadRestores,
+			MaxSessions:   *loadSessions,
+			SkipUnbundled: *loadOnlyV1,
 		})
 		if err != nil {
 			fatal(err)

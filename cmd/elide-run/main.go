@@ -59,7 +59,6 @@ func main() {
 		dialTimeout = flag.Duration("dial-timeout", elide.DefaultDialTimeout, "server connection timeout")
 		reqTimeout  = flag.Duration("request-timeout", elide.DefaultRequestTimeout, "per-request timeout on the server channel")
 		retries     = flag.Int("retries", elide.DefaultRetryBudget, "transient-failure retries before giving up")
-		pipeline    = flag.Bool("pipeline", true, "offer the pipelined (ProtoV1) restore protocol: attest+meta+data in one flight (falls back automatically against legacy servers)")
 		timeout     = flag.Duration("timeout", 0, "overall deadline for the restore (0 = none)")
 		traceJSON   = flag.String("trace-json", "", "write the launch trace (one JSON span per line) to this file")
 		metricsJSON = flag.String("metrics-json", "", "write the final metrics snapshot to this file")
@@ -129,15 +128,10 @@ func main() {
 		defer cancel()
 	}
 
-	proto := elide.ProtoLegacy
-	if *pipeline {
-		proto = elide.ProtoV1
-	}
 	clientOpts := []elide.ClientOption{
 		elide.WithDialTimeout(*dialTimeout),
 		elide.WithRequestTimeout(*reqTimeout),
 		elide.WithRetryBudget(*retries),
-		elide.WithProtocolVersion(proto),
 		elide.WithClientMetrics(metrics),
 		elide.WithClientTracer(tracer),
 	}
@@ -164,7 +158,7 @@ func main() {
 		tc := elide.NewTCPClient(*connect, clientOpts...)
 		defer tc.Close()
 		client = tc
-		fmt.Printf("elide-run: authentication server at %s (retries=%d, pipeline=%v)\n", *connect, *retries, *pipeline)
+		fmt.Printf("elide-run: authentication server at %s (retries=%d)\n", *connect, *retries)
 	} else {
 		cfg := elide.ServerConfig{
 			CAPub:             ca.PublicKey(),

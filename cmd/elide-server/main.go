@@ -94,7 +94,6 @@ func main() {
 		gossipAdvertise = flag.String("gossip-advertise", "", "address this replica advertises to the fleet; enables SWIM gossip membership and anti-entropy resume sync (requires -fleet-key; -peers become the seeds)")
 		gossipInterval  = flag.Duration("gossip-interval", elide.DefaultGossipInterval, "gossip probe/anti-entropy tick for -gossip-advertise")
 		suspectTimeout  = flag.Duration("suspect-timeout", elide.DefaultSuspectTimeout, "how long an unrefuted suspicion lasts before the member is declared dead")
-		peerCooldown    = flag.Duration("peer-cooldown", elide.DefaultPeerCooldown, "how long to leave a peer alone after it refused the replication handshake (a legacy binary)")
 
 		auditFile  = flag.String("audit-file", "", "append security audit events (one JSON event per line) to this file, rotated at -audit-max-bytes")
 		auditBytes = flag.Int64("audit-max-bytes", 8<<20, "rotate -audit-file (to <file>.1) when it exceeds this size")
@@ -146,8 +145,7 @@ func main() {
 				peerList = append(peerList, p)
 			}
 		}
-		opts = append(opts, elide.WithResumeReplication(key, peerList...),
-			elide.WithPeerCooldown(*peerCooldown))
+		opts = append(opts, elide.WithResumeReplication(key, peerList...))
 		if len(peerList) > 0 {
 			fmt.Printf("elide-server: replicating session resumption to %s\n", strings.Join(peerList, ", "))
 		} else {

@@ -76,7 +76,7 @@ func main() {
 	client := elide.NewTCPClient(l.Addr().String(),
 		elide.WithDialTimeout(2*time.Second),
 		elide.WithRequestTimeout(5*time.Second),
-		elide.WithMaxRetries(2),
+		elide.WithRetryBudget(2),
 	)
 	defer client.Close()
 	encl, rt, err := prot.LaunchContext(ctx, host, client, prot.LocalFiles())

@@ -254,8 +254,8 @@ func ChaosBench(env *Env, cfg ChaosConfig) (*ChaosResult, error) {
 		elide.WithEndpointClientOptions(
 			elide.WithDialer(dial),
 			elide.WithClientMetrics(clientMetrics),
-			elide.WithMaxRetries(1),
-			elide.WithBackoff(10*time.Millisecond, 100*time.Millisecond),
+			elide.WithRetryBudget(1),
+			elide.WithRetryBackoff(10*time.Millisecond, 100*time.Millisecond),
 			elide.WithDialTimeout(10*time.Second),
 			elide.WithRequestTimeout(30*time.Second),
 		),

@@ -16,12 +16,13 @@ import (
 
 // ChurnConfig drives the gossip-fleet churn run: Restores full restores
 // flow through a fleet of Replicas gossip members (every one seeded with
-// only replica 0 — bootstrap is the mesh's job) plus one legacy replica
-// that speaks no gossip at all, while the controller kills a member at
-// ~1/4 of the run, cold-adds a brand-new member at ~1/2 (and proves it
-// converges on the fleet's resume records without a single attestation
-// flight), and restarts the killed member at ~3/4. The client endpoint
-// pool tracks the fleet through the membership query the whole time.
+// only replica 0 — bootstrap is the mesh's job) plus one standalone
+// replica with no fleet key and no gossip, while the controller kills a
+// member at ~1/4 of the run, cold-adds a brand-new member at ~1/2 (and
+// proves it converges on the fleet's resume records without a single
+// attestation flight), and restarts the killed member at ~3/4. The client
+// endpoint pool tracks the fleet through the membership query the whole
+// time.
 type ChurnConfig struct {
 	Program        string        // benchmark program (see All); default "Sha1"
 	Replicas       int           // initial gossip members; default 3
@@ -55,7 +56,7 @@ type ChurnResult struct {
 	Restarts int `json:"restarts"`
 	Added    int `json:"added"`
 
-	// Client pool size as the fleet view changed: full fleet + legacy,
+	// Client pool size as the fleet view changed: full fleet + standalone,
 	// after the kill was gossiped, after the cold member joined.
 	PoolBeforeKill int `json:"pool_before_kill"`
 	PoolAfterKill  int `json:"pool_after_kill"`
@@ -84,12 +85,12 @@ type ChurnResult struct {
 
 func (r *ChurnResult) String() string {
 	return fmt.Sprintf(
-		"churn bench: %s, %d gossip replicas + 1 legacy, %d restores (%d workers): "+
+		"churn bench: %s, %d gossip replicas + 1 standalone, %d restores (%d workers): "+
 			"%d ok / %d typed / %d untyped failures in %.1f ms\n"+
 			"  churn: %d kills, %d restarts, %d added; pool %d → %d → %d\n"+
 			"  cold member: converged in %d gossip rounds (%.0f ms), resumed %d/%d sessions "+
 			"with %d extra attest flights\n"+
-			"  legacy: %d/%d restores ok; audits: %d joins, %d suspects, %d deaths, %d anti-entropy\n"+
+			"  standalone: %d/%d restores ok; audits: %d joins, %d suspects, %d deaths, %d anti-entropy\n"+
 			"  restore p50 %.0fµs  p90 %.0fµs  p99 %.0fµs",
 		r.Program, r.Replicas, r.Restores, r.Workers,
 		r.Succeeded, r.TypedFailures, r.UntypedFailures, r.WallMs,
@@ -176,8 +177,8 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 			seed0 = replicas[0].addr
 		}
 	}
-	// The legacy replica: same enclave, no fleet key, no gossip — the
-	// PR-9-era binary that must keep working untouched.
+	// The standalone replica: same enclave, no fleet key, no gossip — a
+	// replica outside the mesh that must keep working untouched.
 	legacyMetrics := obs.NewRegistry()
 	legacy := &replica{prot: prot, env: env, msrv: legacyMetrics}
 	if err := legacy.start(); err != nil {
@@ -210,8 +211,8 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 		elide.WithBreakerCooldown(200 * time.Millisecond),
 		elide.WithEndpointClientOptions(
 			elide.WithClientMetrics(clientMetrics),
-			elide.WithMaxRetries(1),
-			elide.WithBackoff(10*time.Millisecond, 100*time.Millisecond),
+			elide.WithRetryBudget(1),
+			elide.WithRetryBackoff(10*time.Millisecond, 100*time.Millisecond),
 			elide.WithDialTimeout(10*time.Second),
 			elide.WithRequestTimeout(30*time.Second),
 		),
@@ -244,7 +245,6 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 			return nil, err
 		}
 		c := elide.NewTCPClient(replicas[0].addr,
-			elide.WithProtocolVersion(elide.ProtoV1),
 			elide.WithDialTimeout(cfg.Timeout),
 			elide.WithRequestTimeout(cfg.Timeout))
 		spub, err := c.Attest(ctx, q, pub)
@@ -380,7 +380,6 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	for i := range sessions {
 		ss := &sessions[i]
 		c := elide.NewTCPClient(added.addr,
-			elide.WithProtocolVersion(elide.ProtoV1),
 			elide.WithDialTimeout(cfg.Timeout),
 			elide.WithRequestTimeout(cfg.Timeout))
 		spub, err := c.ResumeAttest(ctx, ss.quote, ss.pub)
@@ -394,8 +393,8 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	}
 	res.AddedExtraAttestFlights = addedMetrics.Counter("server.attest_ok").Load() - attestsBefore
 
-	// The legacy replica served static-pool traffic throughout; prove it
-	// still answers on its own.
+	// The standalone replica served static-pool traffic throughout; prove
+	// it still answers on its own.
 	legacyPool := elide.NewEndpointPool([]string{legacy.addr}, clientOpts...)
 	res.LegacyRestores = 4
 	for i := 0; i < res.LegacyRestores; i++ {

@@ -6,12 +6,12 @@ import (
 )
 
 // TestChurnBenchSmoke drives a scaled-down churn run — a gossip fleet
-// bootstrapped from one seed plus a legacy replica, with a kill, a
+// bootstrapped from one seed plus a standalone replica, with a kill, a
 // cold-add, and a restart under restore load — and asserts the fleet
 // contract: no untyped failures, the client pool tracked every membership
 // change, the cold-added member converged on the fleet's resume records
 // and served every resume without a single attestation flight, and the
-// legacy replica kept working through the static pool path.
+// standalone replica kept working through the static pool path.
 func TestChurnBenchSmoke(t *testing.T) {
 	env := sharedEnv(t)
 	cfg := ChurnConfig{
@@ -68,7 +68,7 @@ func TestChurnBenchSmoke(t *testing.T) {
 		t.Fatalf("implausible convergence: %d gossip rounds", res.ConvergenceRounds)
 	}
 	if res.LegacySucceeded != res.LegacyRestores {
-		t.Fatalf("legacy replica served %d/%d restores", res.LegacySucceeded, res.LegacyRestores)
+		t.Fatalf("standalone replica served %d/%d restores", res.LegacySucceeded, res.LegacyRestores)
 	}
 	if res.MemberSuspects == 0 || res.MemberDeaths == 0 || res.MemberJoins == 0 {
 		t.Fatalf("missing churn audit events: %d joins, %d suspects, %d deaths",

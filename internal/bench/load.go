@@ -29,17 +29,17 @@ import (
 // enclave ecall, so one process can offer tens of thousands of restores.
 // The enclave is loaded once, for quote generation.
 type LoadBenchConfig struct {
-	Program     string        // benchmark name (see All); default "Sha1"
-	Rate        float64       // arrivals per second; default 500
-	Restores    int           // total arrivals per protocol run; default 10000
-	MaxSessions int           // server concurrent-session cap; default 1024
-	Timeout     time.Duration // per-restore deadline; default 30s
-	SkipLegacy  bool          // measure only the pipelined protocol
+	Program       string        // benchmark name (see All); default "Sha1"
+	Rate          float64       // arrivals per second; default 500
+	Restores      int           // total arrivals per protocol run; default 10000
+	MaxSessions   int           // server concurrent-session cap; default 1024
+	Timeout       time.Duration // per-restore deadline; default 30s
+	SkipUnbundled bool          // measure only the pipelined protocol
 }
 
 // LoadRunResult is one protocol variant's slice of the load benchmark.
 type LoadRunResult struct {
-	Protocol  string  `json:"protocol"` // "pipelined" or "legacy"
+	Protocol  string  `json:"protocol"` // "pipelined" or "unbundled"
 	Offered   int     `json:"offered"`
 	Completed int     `json:"completed"`
 	Errors    int     `json:"errors"`
@@ -51,7 +51,7 @@ type LoadRunResult struct {
 
 	// FlightsPerRestore is the mean network round trips one restore took
 	// (client.flights / completed): the pipelined protocol's headline
-	// number is 1, the legacy protocol's is 3 (attest, meta, data).
+	// number is 1, the unbundled baseline's is 3 (attest, meta, data).
 	FlightsPerRestore float64 `json:"flights_per_restore"`
 
 	Latency LoadLatency `json:"latency"`
@@ -88,9 +88,9 @@ type LoadBenchResult struct {
 	MaxSessions int     `json:"max_sessions"`
 
 	Pipelined *LoadRunResult `json:"pipelined"`
-	Legacy    *LoadRunResult `json:"legacy,omitempty"`
+	Unbundled *LoadRunResult `json:"unbundled,omitempty"`
 
-	// P50SpeedupX is legacy p50 latency over pipelined p50 latency —
+	// P50SpeedupX is unbundled p50 latency over pipelined p50 latency —
 	// the round-trip collapse measured, not asserted.
 	P50SpeedupX float64 `json:"p50_speedup_x,omitempty"`
 }
@@ -104,8 +104,8 @@ func (r *LoadBenchResult) String() string {
 	}
 	s := fmt.Sprintf("load bench: %s, %d restores offered at %.0f rps (cap %d)\n%s",
 		r.Program, r.Restores, r.RateRPS, r.MaxSessions, line(r.Pipelined))
-	if r.Legacy != nil {
-		s += "\n" + line(r.Legacy)
+	if r.Unbundled != nil {
+		s += "\n" + line(r.Unbundled)
 		s += fmt.Sprintf("\n  pipelined p50 speedup: %.2fx", r.P50SpeedupX)
 	}
 	return s
@@ -113,9 +113,9 @@ func (r *LoadBenchResult) String() string {
 
 // LoadBench builds one protected program, serves it over TCP, and offers
 // cfg.Restores protocol runs at cfg.Rate arrivals/second — once with the
-// pipelined (ProtoV1) protocol and, unless SkipLegacy, once with the
-// legacy sequential protocol against the same server, so the two runs
-// compare round-trip counts and latency under identical load.
+// pipelined (ProtoV1) protocol and, unless SkipUnbundled, once unbundled
+// (ProtoUnbundled, one flight per step) against the same server, so the
+// two runs compare round-trip counts and latency under identical load.
 func LoadBench(env *Env, cfg LoadBenchConfig) (*LoadBenchResult, error) {
 	if cfg.Program == "" {
 		cfg.Program = "Sha1"
@@ -159,13 +159,13 @@ func LoadBench(env *Env, cfg LoadBenchConfig) (*LoadBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.SkipLegacy {
-		res.Legacy, err = loadRun(env, prot, quoter, cfg, elide.ProtoLegacy)
+	if !cfg.SkipUnbundled {
+		res.Unbundled, err = loadRun(env, prot, quoter, cfg, elide.ProtoUnbundled)
 		if err != nil {
 			return nil, err
 		}
 		if res.Pipelined.Latency.P50Us > 0 {
-			res.P50SpeedupX = res.Legacy.Latency.P50Us / res.Pipelined.Latency.P50Us
+			res.P50SpeedupX = res.Unbundled.Latency.P50Us / res.Pipelined.Latency.P50Us
 		}
 	}
 	return res, nil
@@ -230,7 +230,7 @@ func loadRun(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg LoadBenc
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(ctx, l) }()
 
-	name := "legacy"
+	name := "unbundled"
 	if proto >= elide.ProtoV1 {
 		name = "pipelined"
 	}
@@ -359,7 +359,7 @@ func oneProtocolRestore(env *Env, quoter *quoteFactory, addr string, metrics *ob
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 	// One root span per simulated machine: the transport's attest/request
-	// spans parent into it, and the v1 handshake carries its trace to the
+	// spans parent into it, and the handshake carries its trace to the
 	// server, so both hops' rings attribute this restore to one trace.
 	root := tracer.Start("restore")
 	defer root.End()

@@ -178,7 +178,6 @@ func runResumeMode(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg Re
 			return out, err
 		}
 		c := elide.NewTCPClient(lA.Addr().String(),
-			elide.WithProtocolVersion(elide.ProtoV1),
 			elide.WithDialTimeout(cfg.Timeout),
 			elide.WithRequestTimeout(cfg.Timeout),
 		)
@@ -211,7 +210,6 @@ func runResumeMode(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg Re
 	for i := range sessions {
 		ss := &sessions[i]
 		c := elide.NewTCPClient(lB.Addr().String(),
-			elide.WithProtocolVersion(elide.ProtoV1),
 			elide.WithDialTimeout(cfg.Timeout),
 			elide.WithRequestTimeout(cfg.Timeout),
 		)

@@ -135,7 +135,10 @@ func ServerBench(env *Env, cfg ServerBenchConfig) (*ServerBenchResult, error) {
 					return err
 				}
 				host := sdk.NewHost(platform)
+				// Unbundled, so the server answers attest and each channel
+				// request separately and both latency histograms fill.
 				client := elide.NewTCPClient(l.Addr().String(),
+					elide.WithProtocolVersion(elide.ProtoUnbundled),
 					elide.WithClientMetrics(clientMetrics),
 					// Under heavy oversubscription (many clients, few
 					// cores) generous deadlines keep the measurement about

@@ -77,7 +77,7 @@ type poolOptions struct {
 // SyncMembership (or a WatchMembership loop) asks the fleet for its
 // current member list and grows/shrinks the pool to match, keeping the
 // statically configured addresses as a floor for servers the mesh does
-// not know about (legacy replicas).
+// not know about (gossip-off or key-less replicas).
 type EndpointPool struct {
 	opt   poolOptions
 	trips func() // metrics hook
@@ -261,14 +261,14 @@ func (p *EndpointPool) HealthCheck() error {
 }
 
 // SyncMembership asks the fleet for its current member list — walking
-// the pool until some endpoint answers the v1 membership query — and
+// the pool until some endpoint answers the membership query — and
 // resizes the pool to match: members the mesh reports alive or suspect
 // are (re)admitted, members it reports dead are dropped, and learned
 // (non-static) endpoints absent from the reply are dropped too. Static
-// endpoints the fleet does not know about are kept: a legacy replica is
-// invisible to the mesh but still serves. Returns an error only when no
-// endpoint answered — a fleet of legacy or gossip-off servers simply
-// leaves the pool static.
+// endpoints the fleet does not know about are kept: a gossip-off or
+// key-less replica is invisible to the mesh but still serves. Returns an
+// error only when no endpoint answered — a fleet of gossip-off servers
+// simply leaves the pool static.
 func (p *EndpointPool) SyncMembership(ctx context.Context) error {
 	var last error
 	for _, e := range p.Endpoints() {
@@ -423,8 +423,8 @@ func (fc *FailoverClient) Close() error {
 
 // sessionResumer is the optional SecretChannel capability the failover
 // layer prefers when it must re-attest an established session on a new
-// replica: ResumeAttest replays the handshake as a resume (no bundle
-// request), so a resume-replicating fleet hands back the original channel
+// replica: ResumeAttest sends a resume handshake (no bundle request), so
+// a resume-replicating fleet hands back the original channel
 // key and nothing lands at the wrong position in the mid-protocol stream.
 // TCPClient implements it; a channel without it gets a plain Attest,
 // which is correct but downgrades to session-lost when the replica
@@ -458,7 +458,7 @@ func (fc *FailoverClient) clientFor(e *Endpoint) SecretChannel {
 	return c
 }
 
-// Attest implements Client: the handshake is tried against endpoints in
+// Attest implements SecretChannel: the handshake is tried against endpoints in
 // health order until one succeeds or every admitted endpoint has failed.
 // A refusal (the server answered and said no) is terminal — a replica
 // will refuse the same quote for the same reason.
@@ -528,7 +528,7 @@ func (fc *FailoverClient) Attest(ctx context.Context, q *sgx.Quote, clientPub []
 	return nil, &unavailableError{attempts: len(tried), last: last}
 }
 
-// Request implements Client: one encrypted round trip on the endpoint
+// Request implements SecretChannel: one encrypted round trip on the endpoint
 // that attested. When that endpoint fails, the client fails over — it
 // re-attests the stored handshake to the next healthy replica and
 // compares the returned server key against the one the enclave's channel

@@ -197,7 +197,7 @@ func TestFailoverAttestRefusalTerminal(t *testing.T) {
 	}
 }
 
-// clientFunc adapts closures to the Client interface.
+// clientFunc adapts closures to the SecretChannel interface.
 type clientFunc struct {
 	attest  func() ([]byte, error)
 	request func() ([]byte, error)
@@ -359,7 +359,9 @@ func TestReplicaTakeoverMidProtocol(t *testing.T) {
 		WithFailoverMetrics(metrics),
 		WithBreakerCooldown(50*time.Millisecond),
 		WithClientFactory(func(addr string) SecretChannel {
-			c := NewTCPClient(addr, fastRetry(1)...)
+			// Unbundled: the kill must land before a wire REQUEST_META,
+			// which a bundled attest would never send.
+			c := NewTCPClient(addr, append(fastRetry(1), WithProtocolVersion(ProtoUnbundled))...)
 			if addr == srv0.addr {
 				return &killOnFirstRequest{SecretChannel: c, kill: srv0.kill}
 			}
@@ -438,7 +440,7 @@ func TestFailoverResumeOnPeer(t *testing.T) {
 		WithFailoverMetrics(metrics),
 		WithBreakerCooldown(50*time.Millisecond),
 		WithClientFactory(func(addr string) SecretChannel {
-			c := NewTCPClient(addr, fastRetry(1)...)
+			c := NewTCPClient(addr, append(fastRetry(1), WithProtocolVersion(ProtoUnbundled))...)
 			if addr == srv0.addr {
 				return &killOnFirstRequest{SecretChannel: c, kill: killAfterReplicated}
 			}

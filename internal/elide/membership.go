@@ -1,10 +1,8 @@
 package elide
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -15,7 +13,6 @@ import (
 
 	"sgxelide/internal/obs"
 	"sgxelide/internal/sdk"
-	"sgxelide/internal/sgx"
 )
 
 // SWIM-style fleet membership (DESIGN §15): the static `-peers` list
@@ -42,8 +39,8 @@ import (
 //     fleet's session state in a bounded number of rounds instead of
 //     relying on per-miss fetches.
 //   - churn-aware clients: a client can ask any gossip-enabled server
-//     for the current member list (a v1-negotiated query, no fleet key
-//     involved) and resize its failover pool to match the fleet.
+//     for the current member list (a members-query handshake, no fleet
+//     key involved) and resize its failover pool to match the fleet.
 //
 // Wire security: membership deltas, ping-req targets, and digests cross
 // the inter-server wire sealed under the fleet key — a node outside the
@@ -51,14 +48,8 @@ import (
 // The client-facing member list is plaintext: it carries topology only
 // (addresses a client could learn anyway), never key material.
 
-// peerLinkMembers marks an attestMsg as a client membership query: the
-// server answers with its current member list and closes. Distinct from
-// peerLinkResume, which opens a long-lived replication link.
-const peerLinkMembers uint8 = 2
-
-// Membership frame opcodes on the replication link (3+ so a PR 9 binary
-// answers them with its existing unknown-op refusal and the link
-// survives — mixed-version fleets degrade to static replication).
+// Membership frame opcodes on the replication link, numbered after the
+// replication opcodes.
 const (
 	peerOpPing    byte = 3 // payload: sealed member summary; reply: sealed receiver summary
 	peerOpPingReq byte = 4 // payload: sealed target addr; reply: empty ack or refusal
@@ -258,7 +249,8 @@ func (m *membership) merge(remote []Member) {
 // observeAck records direct evidence that addr answered us. For gossip
 // members the reply delta (merged first) already revived them with their
 // own incarnation; this path matters for members that are reachable but
-// silent in the mesh — legacy replicas that refuse the gossip frames.
+// silent in the mesh — gossip-off or key-less replicas that refuse the
+// gossip frames.
 func (m *membership) observeAck(addr string) {
 	m.mu.Lock()
 	st, ok := m.members[addr]
@@ -555,7 +547,7 @@ func (g *gossiper) mergeSealed(payload []byte) error {
 
 // probe runs one SWIM probe: direct ping, then up to two indirect
 // ping-reqs, then suspicion. A refusal is an answer — the peer is alive
-// but does not speak gossip (a legacy or gossip-off replica); it stays
+// but does not speak gossip (a gossip-off or key-less replica); it stays
 // an alive member served by the static paths.
 func (g *gossiper) probe(addr string) {
 	payload, err := g.sealedSummary()
@@ -572,7 +564,7 @@ func (g *gossiper) probe(addr string) {
 		g.m.observeAck(addr)
 		return
 	}
-	if errors.Is(err, errPeerLegacy) || errors.Is(err, ErrRefused) {
+	if errors.Is(err, ErrRefused) {
 		g.metrics.Counter("server.gossip_legacy").Inc()
 		g.m.observeAck(addr)
 		return
@@ -606,7 +598,7 @@ func (g *gossiper) servePingReq(payload []byte) (reached bool, err error) {
 
 // directPing serves the receiving half of a ping-req: probe target on
 // the requester's behalf. Reports whether the target answered (a gossip
-// ack or an alive-but-legacy refusal both count).
+// ack or an alive-but-refusing answer both count).
 func (g *gossiper) directPing(target string) bool {
 	payload, err := g.sealedSummary()
 	if err != nil {
@@ -621,7 +613,7 @@ func (g *gossiper) directPing(target string) bool {
 		g.m.observeAck(target)
 		return true
 	}
-	if errors.Is(err, errPeerLegacy) || errors.Is(err, ErrRefused) {
+	if errors.Is(err, ErrRefused) {
 		g.m.observeAck(target)
 		return true
 	}
@@ -651,8 +643,9 @@ func (g *gossiper) antiEntropy(addr string) {
 	p := g.rep.peerFor(addr)
 	resp, err := p.roundTrip(peerOpDigest, sealed, true, g.rep.dialTimeout, g.rep.opTimeout)
 	if err != nil {
-		// Refusals (legacy peer) and link failures alike: no sync this
-		// round; the probe path owns liveness bookkeeping.
+		// Refusals (a gossip-off or key-less peer) and link failures
+		// alike: no sync this round; the probe path owns liveness
+		// bookkeeping.
 		return
 	}
 	adopted, err := g.adoptRecords(resp)
@@ -752,8 +745,7 @@ func (g *gossiper) serveDigest(payload []byte) ([]byte, error) {
 
 // handleMembersQuery answers a client's membership query with the
 // plaintext member list (self included) and ends the session. A server
-// without gossip refuses — the same shape a legacy binary produces, so
-// clients treat both as "pool stays static".
+// without gossip refuses, which clients read as "pool stays static".
 func (s *Server) handleMembersQuery(conn net.Conn) error {
 	s.armDeadline(conn)
 	if s.gsp == nil {
@@ -789,9 +781,8 @@ type membershipQuerier interface {
 
 // Members asks the server for its current fleet member list over a fresh
 // connection (the query is terminal: the server answers and closes). A
-// server that is legacy or runs without gossip answers with a refusal
-// (ErrRefused), which callers treat as "no membership available" rather
-// than a fault.
+// server that runs without gossip answers with a refusal (ErrRefused),
+// which callers treat as "no membership available" rather than a fault.
 func (c *TCPClient) Members(ctx context.Context) ([]Member, error) {
 	dctx, cancel := context.WithTimeout(ctx, c.opt.dialTimeout)
 	conn, err := c.opt.dial(dctx, c.addr)
@@ -805,14 +796,10 @@ func (c *TCPClient) Members(ctx context.Context) ([]Member, error) {
 	} else {
 		_ = conn.SetDeadline(time.Now().Add(c.opt.requestTimeout))
 	}
-	// The query is an attestMsg with the Peer marker: a legacy server's
-	// decoder drops the unknown field, sees a zero-value quote, and
-	// refuses — exactly the "no membership" answer.
-	msg := attestMsg{Quote: &sgx.Quote{}, Proto: ProtoV1, Peer: peerLinkMembers}
-	if err := gob.NewEncoder(conn).Encode(&msg); err != nil {
+	if err := writeHandshake(conn, &attestMsg{Kind: kindMembers}); err != nil {
 		return nil, err
 	}
-	resp, err := readResponse(bufio.NewReader(conn))
+	resp, err := readResponse(conn)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -424,80 +423,6 @@ func TestAntiEntropyConvergence(t *testing.T) {
 	if mB.Counter("server.anti_entropy_adopted").Load() != records {
 		t.Errorf("anti_entropy_adopted = %d, want %d",
 			mB.Counter("server.anti_entropy_adopted").Load(), records)
-	}
-}
-
-// TestPeerCooldownExpiryAndRefutation (satellite): a peer that refused
-// the replication handshake is left alone for exactly the configured
-// cooldown — no redials — and once the cooldown lapses an upgraded peer
-// sheds the legacy mark on the first successful push.
-func TestPeerCooldownExpiryAndRefutation(t *testing.T) {
-	ca, _ := env(t)
-	key := bytes.Repeat([]byte{0x55}, 32)
-	l := listen(t)
-	addr := l.Addr().String()
-
-	// Phase 1: a keyless server — the refusal shape a legacy binary makes.
-	killLegacy := serveKill(t, plainServer(t, ca), l)
-
-	var dials atomic.Int32
-	o := serverOptions{
-		fleetKey:     key,
-		peers:        []string{addr},
-		metrics:      obs.NewRegistry(),
-		peerCooldown: 150 * time.Millisecond,
-		peerDial: func(a string, to time.Duration) (net.Conn, error) {
-			dials.Add(1)
-			return defaultPeerDial(a, to)
-		},
-	}
-	rep := newResumeReplicator(&o)
-	wrapped, err := wrapResumeRecord(key, freshRecord(time.Minute))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := rep.peerFor(addr)
-	if _, err := p.roundTrip(peerOpPush, wrapped, false, time.Second, time.Second); !errors.Is(err, errPeerLegacy) {
-		t.Fatalf("push to a keyless server = %v, want errPeerLegacy", err)
-	}
-	if got := dials.Load(); got != 1 {
-		t.Fatalf("dials = %d, want 1", got)
-	}
-	// Inside the cooldown every attempt short-circuits without dialing.
-	if _, err := p.roundTrip(peerOpPush, wrapped, false, time.Second, time.Second); !errors.Is(err, errPeerLegacy) {
-		t.Fatalf("second push = %v, want errPeerLegacy", err)
-	}
-	if got := dials.Load(); got != 1 {
-		t.Fatalf("cooldown did not suppress the redial (dials = %d)", got)
-	}
-
-	// Phase 2: the peer upgrades — same address, now with the fleet key.
-	killLegacy()
-	var l2 net.Listener
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if l2, err = net.Listen("tcp", addr); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rebind %s: %v", addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Cleanup(func() { l2.Close() })
-	m2 := obs.NewRegistry()
-	serveKill(t, plainServer(t, ca, WithServerMetrics(m2), WithResumeReplication(key)), l2)
-
-	// Once the cooldown lapses the next push redials, the handshake
-	// succeeds, and the record lands.
-	waitFor(t, "cooldown expiry and refutation", func() bool {
-		_, err := p.roundTrip(peerOpPush, wrapped, false, time.Second, time.Second)
-		return err == nil
-	})
-	waitCounter(t, m2, "server.resume_replicated", 1)
-	// The legacy mark is gone: the very next push goes straight through.
-	if _, err := p.roundTrip(peerOpPush, wrapped, false, time.Second, time.Second); err != nil {
-		t.Fatalf("push after refutation = %v, want success", err)
 	}
 }
 

@@ -344,8 +344,8 @@ func TestWrongMeasurementIsolation(t *testing.T) {
 func TestBackoffConcurrentRequests(t *testing.T) {
 	dialErr := errors.New("synthetic dial failure")
 	c := NewTCPClient("unused:0",
-		WithMaxRetries(2),
-		WithBackoff(time.Microsecond, 4*time.Microsecond),
+		WithRetryBudget(2),
+		WithRetryBackoff(time.Microsecond, 4*time.Microsecond),
 		WithDialer(func(ctx context.Context, addr string) (net.Conn, error) {
 			return nil, dialErr
 		}),

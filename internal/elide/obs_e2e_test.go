@@ -3,7 +3,6 @@ package elide
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"strings"
 	"sync"
 	"testing"
@@ -188,112 +187,6 @@ func hasServerSession(recs []obs.SpanRecord, trace uint64) bool {
 		}
 	}
 	return false
-}
-
-// TestLegacyClientTracingSilentlyDisabled: a legacy client never offers
-// trace context, so a tracing v1 server must self-root its session spans —
-// interop works, the merged export just shows two unlinked trees.
-func TestLegacyClientTracingSilentlyDisabled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("enclave protocol run in -short")
-	}
-	ca, h := env(t)
-	clientTracer := obs.NewTracer(0)
-	clientTracer.SetService("client")
-	h.Tracer = clientTracer
-	h.Metrics = obs.NewRegistry()
-	p := buildApp(t, h, SanitizeOptions{})
-	addr, _, serverTracer := startTracedServer(t, p, ca)
-
-	client := NewTCPClient(addr, fastRetry(2)...) // ProtoLegacy: no trace fields on the wire
-	encl, rt, err := p.Launch(h, client, p.LocalFiles())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer encl.Destroy()
-	code, traceID, err := restoreTraced(encl, 0)
-	if err != nil || code != RestoreOKServer {
-		t.Fatalf("restore = %d, %v (runtime: %v)", code, err, rt.Errs())
-	}
-	if traceID == 0 {
-		t.Fatal("client restore untraced")
-	}
-	client.Close()
-
-	var session obs.SpanRecord
-	var ok bool
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if session, ok = phaseRecord(serverTracer.Completed(), "session"); ok || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !ok {
-		t.Fatal("no server session span")
-	}
-	if session.ParentID != 0 {
-		t.Errorf("legacy client's session span has parent %d, want a self-rooted trace", session.ParentID)
-	}
-	if session.TraceID == traceID {
-		t.Error("legacy handshake leaked the client's trace ID to the server")
-	}
-}
-
-// legacyAttestMsg is the wire handshake as a pre-tracing server knew it:
-// no TraceID/SpanID. Gob matches fields by name, so the compatibility
-// contract — v1 clients interoperate with old servers and vice versa — is
-// testable without an old binary.
-type legacyAttestMsg struct {
-	Quote     *sgx.Quote
-	ClientPub []byte
-	Proto     uint8
-	Bundle    byte
-	_         [6]byte
-}
-
-// TestHandshakeTraceFieldsGobCompat pins the negotiation mechanism both
-// ways: a tracing client's handshake decodes cleanly on a legacy server
-// (the trace fields are silently dropped), and a legacy handshake decodes
-// on the current server with zero trace context (= "not tracing").
-func TestHandshakeTraceFieldsGobCompat(t *testing.T) {
-	quote := &sgx.Quote{}
-	pub := make([]byte, 32)
-
-	// New client -> old server: unknown fields dropped, payload intact.
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(&attestMsg{
-		Quote: quote, ClientPub: pub,
-		TraceID: 0xabc, SpanID: 0xdef,
-		Proto: ProtoV1, Bundle: bundleMeta | bundleData,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old legacyAttestMsg
-	if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
-		t.Fatalf("legacy server cannot decode a tracing handshake: %v", err)
-	}
-	if old.Proto != ProtoV1 || old.Bundle != bundleMeta|bundleData || len(old.ClientPub) != 32 {
-		t.Errorf("legacy decode mangled the payload: %+v", old)
-	}
-
-	// Old client -> new server: absent fields decode as zero, which the
-	// session-span logic reads as "peer not tracing".
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&legacyAttestMsg{Quote: quote, ClientPub: pub}); err != nil {
-		t.Fatal(err)
-	}
-	var cur attestMsg
-	if err := gob.NewDecoder(&buf).Decode(&cur); err != nil {
-		t.Fatalf("current server cannot decode a legacy handshake: %v", err)
-	}
-	if cur.TraceID != 0 || cur.SpanID != 0 {
-		t.Errorf("legacy handshake decoded with trace context %d/%d, want zero", cur.TraceID, cur.SpanID)
-	}
-	if len(cur.ClientPub) != 32 {
-		t.Errorf("legacy decode lost the client key")
-	}
 }
 
 // TestRuntimeHealthCheck covers the runtime side of the degraded /healthz

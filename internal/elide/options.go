@@ -12,8 +12,7 @@ import (
 // three families (ClientOption, ServerOption, FailoverOption) share their
 // defaults and naming conventions here instead of drifting apart in three
 // files. Conventions: With*Timeout for deadlines, WithRetry* for retry
-// policy, With*Metrics / With*Tracer for observability wiring. Renamed
-// options keep thin deprecated aliases so existing callers compile.
+// policy, With*Metrics / With*Tracer for observability wiring.
 
 // Shared defaults of the transport and server policies. Exported so
 // operators tuning one knob can express the others relative to the
@@ -52,10 +51,6 @@ const (
 	DefaultBreakerCooldown = 5 * time.Second
 	// DefaultHealthAlpha is the endpoint health EWMA smoothing factor.
 	DefaultHealthAlpha = 0.3
-	// DefaultPeerCooldown is how long a peer that refused the replication
-	// handshake (a legacy server, or one without a fleet key) is left
-	// alone before the next attempt.
-	DefaultPeerCooldown = 5 * time.Minute
 	// DefaultGossipInterval is the membership probe/gossip round cadence.
 	DefaultGossipInterval = time.Second
 	// DefaultSuspectTimeout is how long a suspected member has to refute
@@ -89,11 +84,6 @@ func WithRetryBudget(n int) ClientOption {
 	return func(o *clientOptions) { o.maxRetries = n }
 }
 
-// WithMaxRetries sets the retry budget.
-//
-// Deprecated: use WithRetryBudget.
-func WithMaxRetries(n int) ClientOption { return WithRetryBudget(n) }
-
 // WithRetryBackoff sets the exponential backoff base and cap between
 // retries (default DefaultBackoffBase, DefaultBackoffCap). Each retry
 // sleeps a uniformly jittered duration in [base/2, base) * 2^attempt,
@@ -102,21 +92,12 @@ func WithRetryBackoff(base, cap time.Duration) ClientOption {
 	return func(o *clientOptions) { o.backoffBase, o.backoffCap = base, cap }
 }
 
-// WithBackoff sets the retry backoff.
-//
-// Deprecated: use WithRetryBackoff.
-func WithBackoff(base, cap time.Duration) ClientOption { return WithRetryBackoff(base, cap) }
-
-// WithProtocolVersion sets the highest wire protocol version the client
-// offers in its attestation handshake (default ProtoLegacy).
-//
-// At ProtoV1 the client asks the server to bundle the encrypted meta and
-// data responses into the attestation reply, collapsing the restore's
-// three round trips into one flight, and pipelines the handshake replay
-// with the pending request on reconnects. Version negotiation is
-// backward compatible both ways: a legacy server ignores the offer and
-// the client falls back to per-request round trips; a legacy client
-// never offers, so a new server answers it exactly as before.
+// WithProtocolVersion sets what the client asks of the one wire protocol
+// (default ProtoV1). At ProtoV1 the attestation handshake asks the server
+// to bundle the encrypted meta and data responses into its reply,
+// collapsing the restore's three round trips into one flight.
+// ProtoUnbundled asks for no bundle: one flight per protocol step, the
+// load benchmark's baseline.
 func WithProtocolVersion(v uint8) ClientOption {
 	return func(o *clientOptions) { o.proto = v }
 }
@@ -203,16 +184,6 @@ func WithResumeReplication(fleetKey []byte, peers ...string) ServerOption {
 	}
 }
 
-// WithPeerCooldown sets how long a peer that refused the replication
-// handshake (a legacy binary, or one running without a fleet key) is left
-// alone before the next dial attempt (default DefaultPeerCooldown).
-// Refutation is automatic: once the cooldown lapses, the next push or
-// fetch redials, and an upgraded peer sheds the legacy mark on the first
-// successful handshake.
-func WithPeerCooldown(d time.Duration) ServerOption {
-	return func(o *serverOptions) { o.peerCooldown = d }
-}
-
 // WithGossip enables SWIM-style fleet membership (DESIGN §15). self is the
 // address this server advertises to the mesh — it must be the address
 // peers can dial back, not the listen wildcard. Requires the fleet key
@@ -276,7 +247,7 @@ func WithServerMetrics(r *obs.Registry) ServerOption {
 
 // WithServerTracer wires the server into an obs tracer: each TCP session
 // becomes a span tree with a child per protocol phase — the server-side
-// mirror of the client's restore pipeline. When the client's v1 handshake
+// mirror of the client's restore pipeline. When the client's handshake
 // carries trace context, the session span joins the client's restore
 // trace instead of rooting its own, so merged exports render one
 // cross-process tree.

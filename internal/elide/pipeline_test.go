@@ -141,105 +141,9 @@ func TestPipelinedRestoreSingleFlight(t *testing.T) {
 	}
 }
 
-// TestPipelineFallbackLegacyServer: a ProtoV1 client offers the bundle to
-// a scripted server that answers with the legacy bare-pubkey reply. The
-// client must fall back transparently — no bundle cache, sequential
-// requests on the wire — and the restore-protocol requests still work.
-func TestPipelineFallbackLegacyServer(t *testing.T) {
-	l := listen(t)
-	serveWire(t, l, func(i int, conn net.Conn) {
-		msg, err := decodeHandshake(conn)
-		if err != nil {
-			return
-		}
-		// A v1 client must still OFFER the bundle (that is the
-		// negotiation), even though this server ignores it.
-		if msg.Proto < ProtoV1 || msg.Bundle == 0 {
-			t.Errorf("client offered proto=%d bundle=%d, want v1 with bundle bits", msg.Proto, msg.Bundle)
-		}
-		priv, pub, err := sdk.GenerateECDHKeypair()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		key, err := sdk.DeriveChannelKey(priv, msg.ClientPub)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := writeResponse(conn, pub); err != nil { // bare 32 bytes: legacy
-			return
-		}
-		for {
-			req, err := readFrame(conn)
-			if err != nil {
-				return
-			}
-			plain, err := sealDecrypt(key, req)
-			if err != nil || len(plain) != 1 {
-				t.Errorf("legacy server could not decrypt request: %v", err)
-				return
-			}
-			resp, err := sealEncrypt(key, []byte{plain[0] + 100})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := writeResponse(conn, resp); err != nil {
-				return
-			}
-		}
-	})
-
-	metrics := obs.NewRegistry()
-	opts := append(fastRetry(2), WithProtocolVersion(ProtoV1), WithClientMetrics(metrics))
-	client := NewTCPClient(l.Addr().String(), opts...)
-	defer client.Close()
-
-	priv, pub, err := sdk.GenerateECDHKeypair()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spub, err := client.Attest(context.Background(), &sgx.Quote{}, pub)
-	if err != nil {
-		t.Fatalf("attest against legacy server: %v", err)
-	}
-	key, err := sdk.DeriveChannelKey(priv, spub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, req := range []byte{RequestMeta, RequestData} {
-		enc, err := sealEncrypt(key, []byte{req})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := client.Request(context.Background(), enc)
-		if err != nil {
-			t.Fatalf("request %d against legacy server: %v", req, err)
-		}
-		plain, err := sealDecrypt(key, resp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plain) != 1 || plain[0] != req+100 {
-			t.Errorf("request %d: got %v, want [%d]", req, plain, req+100)
-		}
-	}
-	if got := metrics.Counter("client.bundle_hits").Load(); got != 0 {
-		t.Errorf("client.bundle_hits = %d against a legacy server, want 0", got)
-	}
-	if got := metrics.Counter("client.bundled_attests").Load(); got != 0 {
-		t.Errorf("client.bundled_attests = %d against a legacy server, want 0", got)
-	}
-	// One flight for the attest, one per request: the sequential protocol.
-	if got := metrics.Counter("client.flights").Load(); got != 3 {
-		t.Errorf("client.flights = %d, want 3 (sequential fallback)", got)
-	}
-}
-
-// TestLegacyClientAgainstV1Server: the other negotiation direction — a
-// legacy client (no protocol option) against the current server performs
-// the classic three-flight protocol and is never handed a bundle.
+// TestLegacyClientAgainstV1Server: a client built with no protocol option,
+// the way every caller but elide-run used to build one, gets the bundled
+// exchange — the whole restore in one flight, served from one bundle.
 func TestLegacyClientAgainstV1Server(t *testing.T) {
 	ca, h := env(t)
 	h.Metrics = obs.NewRegistry()
@@ -258,14 +162,14 @@ func TestLegacyClientAgainstV1Server(t *testing.T) {
 	if err != nil || code != RestoreOKServer {
 		t.Fatalf("restore = %d, %v (runtime: %v)", code, err, rt.Errs())
 	}
-	if got := serverMetrics.Counter("server.bundles_served").Load(); got != 0 {
-		t.Errorf("server.bundles_served = %d for a legacy client, want 0", got)
+	if got := serverMetrics.Counter("server.bundles_served").Load(); got != 1 {
+		t.Errorf("server.bundles_served = %d for a default client, want 1", got)
 	}
-	if got := clientMetrics.Counter("client.flights").Load(); got != 3 {
-		t.Errorf("client.flights = %d, want 3", got)
+	if got := clientMetrics.Counter("client.flights").Load(); got != 1 {
+		t.Errorf("client.flights = %d, want 1", got)
 	}
-	if got := serverMetrics.Counter("server.requests").Load(); got < 2 {
-		t.Errorf("server.requests = %d, want >= 2 (wire requests)", got)
+	if got := serverMetrics.Counter("server.requests").Load(); got != 0 {
+		t.Errorf("server.requests = %d, want 0 (both requests served from the bundle)", got)
 	}
 }
 
@@ -422,7 +326,7 @@ func TestFailoverSurfacesTypedOverload(t *testing.T) {
 	shedding := func() net.Listener {
 		l := listen(t)
 		serveWire(t, l, func(i int, conn net.Conn) {
-			if _, err := decodeHandshake(conn); err != nil {
+			if _, err := readHandshake(conn); err != nil {
 				return
 			}
 			writeOverloadFrame(conn, 2*time.Millisecond, "all replicas busy")
@@ -463,7 +367,7 @@ func TestFailoverSurfacesTypedOverload(t *testing.T) {
 func TestOverloadDelaysRetry(t *testing.T) {
 	l := listen(t)
 	serveWire(t, l, func(i int, conn net.Conn) {
-		if _, err := decodeHandshake(conn); err != nil {
+		if _, err := readHandshake(conn); err != nil {
 			return
 		}
 		if i == 0 {
@@ -475,7 +379,7 @@ func TestOverloadDelaysRetry(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		writeResponse(conn, pub)
+		writeResponse(conn, marshalAttestReply(pub, nil, nil))
 	})
 	metrics := obs.NewRegistry()
 	client := NewTCPClient(l.Addr().String(), append(fastRetry(2), WithClientMetrics(metrics))...)

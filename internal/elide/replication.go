@@ -3,7 +3,6 @@ package elide
 import (
 	"bufio"
 	"crypto/subtle"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"sgxelide/internal/obs"
-	"sgxelide/internal/sgx"
 )
 
 // Replicated session resumption (DESIGN §14): each server pushes its
@@ -23,20 +21,17 @@ import (
 // re-attest.
 //
 // The peer link rides the existing framed transport: the dialing server
-// sends a normal gob attestation handshake with the Peer field set (a
-// v1-negotiated capability — a legacy server's gob decoder drops the
-// unknown field, sees a zero-value quote, refuses the handshake, and the
-// dialer marks the peer legacy and backs off; legacy peers are otherwise
-// unaffected). An accepting server that has a fleet key acks with its
-// protocol version and then serves replication frames:
+// opens it with a peer-link handshake (handshake.go). An accepting server
+// that has a fleet key acks with its protocol version and then serves
+// replication frames; one without a fleet key refuses, which the dialer
+// treats as a link error like a dead peer:
 //
 //	push:  op(1)=peerOpPush  || wrapped record      (no reply)
 //	fetch: op(1)=peerOpFetch || binding(32)         (reply: wrapped record, or a refusal on miss)
 //
 // plus the gossip/anti-entropy opcodes (peerOpPing, peerOpPingReq,
-// peerOpDigest — see membership.go). A PR 9 binary answers those with
-// its unknown-op refusal and the link survives, so mixed-version fleets
-// degrade to static replication rather than breaking.
+// peerOpDigest — see membership.go). A gossip-off server answers those
+// with a refusal and the link survives, so it keeps replicating.
 //
 // Records cross the wire ONLY as wrapResumeRecord blobs — AES-GCM under
 // the shared fleet sealing key — so the transport carries no cleartext
@@ -47,10 +42,6 @@ import (
 // (membership.go) adds members it discovers and retires members declared
 // dead, so pushes track the live fleet. The statically configured peers
 // remain as seeds either way.
-
-// peerLinkResume marks an attestMsg as a replication-link handshake
-// rather than a client session.
-const peerLinkResume uint8 = 1
 
 // Replication-link frame opcodes (3+ are in membership.go).
 const (
@@ -71,9 +62,6 @@ const dropAuditInterval = time.Minute
 // keeps reporting degraded.
 const dropHealthWindow = time.Minute
 
-// errPeerLegacy marks a peer that refused the replication handshake.
-var errPeerLegacy = errors.New("elide: peer does not speak resume replication")
-
 // peerDialFunc dials one fleet peer; the default is net.DialTimeout, and
 // partition tests swap in a gate.
 type peerDialFunc func(addr string, timeout time.Duration) (net.Conn, error)
@@ -93,16 +81,14 @@ func writePeerFrame(w io.Writer, op byte, payload []byte) error {
 }
 
 // resumePeer is the dialer-side state of one replication link: a lazily
-// dialed, persistently reused connection plus the legacy cooldown.
+// dialed, persistently reused connection.
 type resumePeer struct {
-	addr     string
-	dial     peerDialFunc
-	cooldown time.Duration // legacy back-off (WithPeerCooldown)
+	addr string
+	dial peerDialFunc
 
-	mu          sync.Mutex
-	conn        net.Conn
-	br          *bufio.Reader
-	legacyUntil time.Time
+	mu   sync.Mutex
+	conn net.Conn
+	br   *bufio.Reader
 }
 
 func (p *resumePeer) closeLocked() {
@@ -128,12 +114,7 @@ func (p *resumePeer) ensureLocked(dialTimeout, opTimeout time.Duration) error {
 		return err
 	}
 	_ = conn.SetDeadline(time.Now().Add(opTimeout))
-	// The handshake is a normal attestMsg with Peer set. The quote must be
-	// a non-nil zero value: gob refuses nil pointers, and a legacy server
-	// (which never sees the Peer field) will verify-and-refuse it, which
-	// is exactly the signal that the peer does not speak replication.
-	msg := attestMsg{Quote: &sgx.Quote{}, Proto: ProtoV1, Peer: peerLinkResume}
-	if err := gob.NewEncoder(conn).Encode(&msg); err != nil {
+	if err := writeHandshake(conn, &attestMsg{Kind: kindPeerLink}); err != nil {
 		_ = conn.Close()
 		return err
 	}
@@ -141,33 +122,23 @@ func (p *resumePeer) ensureLocked(dialTimeout, opTimeout time.Duration) error {
 	ack, err := readResponse(br)
 	if err != nil {
 		_ = conn.Close()
-		if errors.Is(err, ErrRefused) {
-			p.legacyUntil = time.Now().Add(p.cooldown)
-			return errPeerLegacy
-		}
 		return err
 	}
 	if len(ack) != 1 || ack[0] != ProtoV1 {
 		_ = conn.Close()
 		return fmt.Errorf("elide: unexpected replication ack from %s (%d bytes)", p.addr, len(ack))
 	}
-	// A successful handshake refutes any earlier legacy mark — the peer
-	// was upgraded (or regained its fleet key) since the last refusal.
-	p.legacyUntil = time.Time{}
 	p.conn, p.br = conn, br
 	return nil
 }
 
 // roundTrip sends one frame (reading the reply when want is set),
 // redialing once on a stale connection. A refusal reply is an answer
-// (fetch miss, unknown op on an old peer), not a link failure, and does
-// not burn the connection.
+// (fetch miss, gossip op on a gossip-off peer), not a link failure, and
+// does not burn the connection.
 func (p *resumePeer) roundTrip(op byte, payload []byte, want bool, dialTimeout, opTimeout time.Duration) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if time.Now().Before(p.legacyUntil) {
-		return nil, errPeerLegacy
-	}
 	var last error
 	for attempt := 0; attempt < 2; attempt++ {
 		if err := p.ensureLocked(dialTimeout, opTimeout); err != nil {
@@ -205,7 +176,6 @@ type resumeReplicator struct {
 	audit       *obs.AuditLog
 	dialTimeout time.Duration
 	opTimeout   time.Duration
-	cooldown    time.Duration
 	dial        peerDialFunc
 
 	mu    sync.Mutex
@@ -233,16 +203,12 @@ func newResumeReplicator(o *serverOptions) *resumeReplicator {
 		audit:        o.audit,
 		dialTimeout:  DefaultDialTimeout,
 		opTimeout:    DefaultPeerOpTimeout,
-		cooldown:     o.peerCooldown,
 		dial:         o.peerDial,
 		peers:        make(map[string]*resumePeer),
 		dead:         make(map[string]bool),
 		queue:        make(chan ResumeRecord, peerPushQueue),
 		dropInterval: dropAuditInterval,
 		dropWindow:   dropHealthWindow,
-	}
-	if r.cooldown <= 0 {
-		r.cooldown = DefaultPeerCooldown
 	}
 	if r.dial == nil {
 		r.dial = defaultPeerDial
@@ -262,7 +228,7 @@ func (r *resumeReplicator) peerFor(addr string) *resumePeer {
 	defer r.mu.Unlock()
 	p, ok := r.peers[addr]
 	if !ok {
-		p = &resumePeer{addr: addr, dial: r.dial, cooldown: r.cooldown}
+		p = &resumePeer{addr: addr, dial: r.dial}
 		r.peers[addr] = p
 	}
 	return p
@@ -364,11 +330,7 @@ func (r *resumeReplicator) pump() {
 		}
 		for _, p := range r.activePeers() {
 			if _, err := p.roundTrip(peerOpPush, wrapped, false, r.dialTimeout, r.opTimeout); err != nil {
-				if errors.Is(err, errPeerLegacy) {
-					r.metrics.Counter("server.resume_peer_legacy").Inc()
-				} else {
-					r.metrics.Counter("server.resume_replicate_errors").Inc()
-				}
+				r.metrics.Counter("server.resume_replicate_errors").Inc()
 				continue
 			}
 			r.metrics.Counter("server.resume_replicate_sent").Inc()
@@ -402,9 +364,8 @@ func (r *resumeReplicator) fetch(binding [32]byte) (ResumeRecord, bool) {
 
 // handlePeerConn serves one replication link: ack the handshake, then a
 // loop of push/fetch/gossip frames until the peer hangs up. Reached from
-// handleConn when the decoded handshake carries the Peer marker; a server
-// without a fleet key refuses (the same shape a legacy server produces,
-// so dialers treat both identically).
+// handleConn for a peer-link handshake; a server without a fleet key
+// refuses.
 func (s *Server) handlePeerConn(conn net.Conn, br *bufio.Reader) error {
 	if len(s.opt.fleetKey) == 0 {
 		s.armDeadline(conn)

@@ -156,9 +156,9 @@ func TestResumeFetchFallback(t *testing.T) {
 }
 
 // TestResumeLegacyPeerUnaffected: pointing replication at a server that
-// does not speak it (no fleet key — the same refusal shape a pre-
-// replication binary produces) must not disturb that server's client
-// traffic; the dialer just marks the peer legacy and backs off.
+// does not speak it (no fleet key, so it refuses the peer-link
+// handshake) must not disturb that server's client traffic; the dialer
+// counts the refusal as a replication error and moves on.
 func TestResumeLegacyPeerUnaffected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("enclave quote generation in -short")
@@ -189,15 +189,15 @@ func TestResumeLegacyPeerUnaffected(t *testing.T) {
 	if _, err := v1Client(l1.Addr().String()).Attest(ctx, q1, cpub1); err != nil {
 		t.Fatal(err)
 	}
-	waitCounter(t, m1, "server.resume_peer_legacy", 1)
+	waitCounter(t, m1, "server.resume_replicate_errors", 1)
 
 	// The refusing server still serves ordinary clients.
 	q0, cpub0 := freshQuote(t, h, encl)
 	if _, err := v1Client(l0.Addr().String()).Attest(ctx, q0, cpub0); err != nil {
-		t.Fatalf("legacy peer's client traffic broken by replication attempts: %v", err)
+		t.Fatalf("keyless peer's client traffic broken by replication attempts: %v", err)
 	}
 	if got := m0.Counter("server.attest_ok").Load(); got != 1 {
-		t.Fatalf("legacy peer attest_ok = %d, want 1", got)
+		t.Fatalf("keyless peer attest_ok = %d, want 1", got)
 	}
 	if got := m1.Counter("server.resume_replicated").Load(); got != 0 {
 		t.Fatalf("record replicated to a keyless peer (%d)", got)

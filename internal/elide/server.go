@@ -6,8 +6,6 @@ import (
 	"crypto/ecdsa"
 	"crypto/sha256"
 	"crypto/subtle"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -63,7 +61,6 @@ type serverOptions struct {
 	gossipSelf     string        // advertised address; non-empty enables gossip
 	gossipInterval time.Duration // probe/gossip round cadence
 	suspectTimeout time.Duration // suspicion → dead deadline
-	peerCooldown   time.Duration // legacy-peer redial back-off
 	peerDial       peerDialFunc  // test seam; nil = net.DialTimeout
 
 	// onHandshake is a package-internal test seam, called with each
@@ -191,7 +188,7 @@ type Session struct {
 	channelKey []byte
 	entry      *SecretEntry // resolved by Attest; nil before attestation
 	span       *obs.Span    // session root span; nil without a tracer
-	replay     bool         // handshake is a v1 session replay (set by handleConn)
+	replay     bool         // handshake is a session resume (set by handleConn)
 }
 
 // audit emits one event stamped with this session's trace ID and (when
@@ -445,9 +442,9 @@ func (ss *Session) serveData() ([]byte, error) {
 	return ss.entry.SecretPlain, nil
 }
 
-// bundleReply assembles a ProtoV1 attestation reply: the channel public
+// bundleReply assembles a bundled attestation reply: the channel public
 // key followed by the encrypted channel responses the client asked for
-// (see parseAttestReply for the layout). The responses are the exact
+// (see marshalAttestReply for the layout). The responses are the exact
 // bytes a sequential REQUEST_META / REQUEST_DATA exchange would have
 // produced — GCM framing on this channel does not depend on the request's
 // IV, so precomputing them at attest time is sound, and the enclave
@@ -502,14 +499,7 @@ func (ss *Session) bundleReply(pub []byte, want byte) (out []byte, err error) {
 	s.opt.metrics.Counter("server.bundles_served").Inc()
 	s.opt.metrics.Counter("server.bundles_served.mr_" + ss.entry.Label()).Inc()
 
-	out = make([]byte, 0, 1+32+8+len(encMeta)+len(encData))
-	out = append(out, ProtoV1)
-	out = append(out, pub...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(encMeta)))
-	out = append(out, encMeta...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(encData)))
-	out = append(out, encData...)
-	return out, nil
+	return marshalAttestReply(pub, encMeta, encData), nil
 }
 
 // --- transport ---
@@ -517,8 +507,8 @@ func (ss *Session) bundleReply(pub []byte, want byte) (out []byte, err error) {
 // SecretChannel is how the untrusted runtime reaches the authentication
 // server: either in-process (DirectClient) or over the wire (TCPClient,
 // FailoverClient). It is the one interface the restore pipeline, the
-// failover layer, and the bench harnesses program against, so pipelined
-// (ProtoV1) and legacy clients are drop-in interchangeable.
+// failover layer, and the bench harnesses program against, so in-process
+// and wire clients are drop-in interchangeable.
 //
 // Attest runs the attestation handshake and returns the server's channel
 // public key; Request performs one encrypted exchange on the attested
@@ -529,15 +519,6 @@ type SecretChannel interface {
 	Attest(ctx context.Context, q *sgx.Quote, clientPub []byte) ([]byte, error)
 	Request(ctx context.Context, enc []byte) ([]byte, error)
 	Close() error
-}
-
-// Client is the pre-SecretChannel client surface.
-//
-// Deprecated: use SecretChannel. Kept so older integrations that only
-// implement Attest/Request still typecheck where a bare client is enough.
-type Client interface {
-	Attest(ctx context.Context, q *sgx.Quote, clientPub []byte) ([]byte, error)
-	Request(ctx context.Context, enc []byte) ([]byte, error)
 }
 
 // DirectClient runs the server in-process (and is also what the benchmarks
@@ -576,32 +557,6 @@ func (c *DirectClient) Request(ctx context.Context, enc []byte) ([]byte, error) 
 func (c *DirectClient) Close() error {
 	c.Session.span.End()
 	return nil
-}
-
-// attestMsg is the wire form of the attestation handshake. Proto and
-// Bundle are the ProtoV1 negotiation fields; gob drops fields the peer's
-// struct lacks, so a legacy server simply never sees the offer and a
-// legacy client's handshake decodes here with both zero. TraceID/SpanID
-// are the trace-context capability: a tracing v1 client stamps its restore
-// trace and current span so the server's session spans join the client's
-// trace; both decode as zero from a legacy (or non-tracing) client, and a
-// legacy server ignores them — tracing is then silently per-process, never
-// an interop failure. The IDs are random tracer-local identifiers and
-// carry no secret material across the boundary. Peer marks the handshake
-// as a server-to-server replication link rather than a client session
-// (peerLinkResume, see replication.go); like the other v1 fields it
-// decodes as zero from legacy peers, and a legacy server that never sees
-// it refuses the zero-value quote — exactly the back-off signal the
-// dialer wants.
-type attestMsg struct {
-	Quote     *sgx.Quote
-	ClientPub []byte
-	TraceID   uint64  // caller's restore trace (0 = caller not tracing)
-	SpanID    uint64  // caller's current span: parent for the server session span
-	Proto     uint8   // highest wire version the client speaks (0 = legacy)
-	Bundle    byte    // bundleMeta|bundleData: responses to pipeline into the reply
-	Peer      uint8   // nonzero: replication-link handshake (peerLinkResume)
-	_         [5]byte // explicit padding: boundary structs carry no implicit holes
 }
 
 // Serve accepts connections until ctx is cancelled or the listener fails.
@@ -692,35 +647,34 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	}
 }
 
-// handleConn speaks the TCP protocol for one session: handshake (with a
-// bundled reply when a ProtoV1 client asked for one), then a request
-// loop. Errors are reported to the peer as status frames; an attestation
-// failure closes the session, a bad request or an overload answer does
-// not. All reads go through one buffered reader: a pipelined client may
-// put its next frame on the wire behind the handshake, and the gob
-// decoder's internal buffering must not swallow it.
+// handleConn speaks the TCP protocol for one connection: the handshake,
+// then — for a client session — the attest reply (bundled when the client
+// asked) and a request loop. Errors are reported to the peer as status
+// frames; an attestation failure closes the session, a bad request or an
+// overload answer does not. All reads go through one buffered reader: a
+// resuming client puts its pending request on the wire right behind the
+// handshake.
 func (s *Server) handleConn(ctx context.Context, conn net.Conn) (err error) {
 	ss := s.NewSession()
 	br := bufio.NewReader(conn)
 	s.armDeadline(conn)
-	var msg attestMsg
-	if err := gob.NewDecoder(br).Decode(&msg); err != nil {
+	msg, err := readHandshake(br)
+	if err != nil {
+		if errors.Is(err, errBadHandshake) {
+			_ = writeErrorFrame(conn, err.Error()) // the session ends either way
+		}
 		return err
 	}
-	if msg.Peer != 0 {
-		// Not a client session: a membership query is answered and done;
-		// anything else is a fleet peer handed to the replication layer
-		// before any session/trace machinery spins up.
-		if msg.Peer == peerLinkMembers {
-			return s.handleMembersQuery(conn)
-		}
+	switch msg.Kind {
+	case kindMembers:
+		return s.handleMembersQuery(conn)
+	case kindPeerLink:
 		return s.handlePeerConn(conn, br)
 	}
 	// The session span starts only after the handshake is decoded: a
 	// tracing client's TraceID/SpanID parent it into the client's restore
 	// trace, so the merged JSONL from both processes is one tree. A zero
-	// TraceID (legacy or non-tracing peer) makes it a local root, exactly
-	// the pre-trace-context behavior.
+	// TraceID (a caller not tracing) makes it a local root.
 	ss.span = s.opt.tracer.StartRemote("session", msg.TraceID, msg.SpanID)
 	ss.span.SetStr("peer", conn.RemoteAddr().String())
 	defer func() {
@@ -728,26 +682,25 @@ func (s *Server) handleConn(ctx context.Context, conn net.Conn) (err error) {
 		ss.span.End()
 	}()
 	if s.opt.onHandshake != nil {
-		s.opt.onHandshake(&msg)
+		s.opt.onHandshake(msg)
 	}
-	// A v1 client zeroes Bundle only when replaying the handshake of an
-	// established session on a fresh connection (fresh attests always ask
-	// for the bundle), so this flags the resume-or-break case for auditing.
-	ss.replay = msg.Proto >= ProtoV1 && msg.Bundle == 0
+	ss.replay = msg.Kind == kindResume
 	pub, err := ss.Attest(msg.Quote, msg.ClientPub)
 	if err != nil {
 		s.armDeadline(conn)
 		writeServerError(conn, err)
 		return err
 	}
-	reply := pub
-	if msg.Proto >= ProtoV1 && msg.Bundle != 0 {
+	var reply []byte
+	if msg.Bundle != 0 {
 		reply, err = ss.bundleReply(pub, msg.Bundle)
 		if err != nil {
 			s.armDeadline(conn)
 			writeServerError(conn, err)
 			return err
 		}
+	} else {
+		reply = marshalAttestReply(pub, nil, nil)
 	}
 	s.armDeadline(conn)
 	if err := writeResponse(conn, reply); err != nil {

@@ -3,7 +3,6 @@ package elide
 import (
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -20,31 +19,6 @@ import (
 // the write side so a corrupted length header cannot make either end
 // allocate unboundedly or stream garbage.
 const MaxFrame = 64 << 20
-
-// Wire protocol versions, offered by the client in its attestation
-// handshake (attestMsg.Proto) and confirmed by the shape of the server's
-// reply. Negotiation degrades to ProtoLegacy in both directions: a legacy
-// server ignores the unknown handshake fields and answers with a bare
-// 32-byte key, and a legacy client never offers, so a new server answers
-// it exactly as before.
-const (
-	// ProtoLegacy: one flight per protocol step (attest, then each
-	// channel request) — the wire behavior of every release so far.
-	ProtoLegacy uint8 = 0
-	// ProtoV1: the attest reply bundles the encrypted channel responses
-	// the client asked for (attestMsg.Bundle), collapsing a restore into
-	// one network flight; reconnects pipeline the handshake replay with
-	// the pending request into one flight.
-	ProtoV1 uint8 = 1
-)
-
-// Bundle request bits (attestMsg.Bundle): which encrypted channel
-// responses a ProtoV1 client wants pipelined into the attest reply, in
-// protocol order.
-const (
-	bundleMeta byte = 1 << 0 // REQUEST_META reply
-	bundleData byte = 1 << 1 // REQUEST_DATA reply
-)
 
 // Response frames carry a one-byte status prefix so a refusal is a
 // first-class protocol event, distinct from any payload (including a
@@ -112,46 +86,42 @@ func writeFrame(w io.Writer, b []byte) error {
 	return writeWireFrame(w, -1, b)
 }
 
-// readFrameInto reads one length-prefixed frame into buf (grown as
-// needed), returning the payload slice aliasing buf. Feeding each call's
-// return value back in amortizes the allocation to zero across a
-// session's request loop; pass nil when the payload must be retained
-// beyond the next read.
+// frameStep bounds how far a frame reader's buffer runs ahead of the
+// bytes that actually arrived: a length header alone commits at most one
+// step, however large a frame it announces.
+const frameStep = 1 << 20
+
+// readFrameInto reads one length-prefixed frame into buf, returning the
+// payload slice aliasing buf. Feeding each call's return value back in
+// amortizes the allocation to zero across a session's request loop; pass
+// nil for fresh memory the caller may retain. Memory follows the bytes
+// that arrive: each growth reserves at most one frameStep, or a quarter of
+// what was already received, beyond it.
 func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	if cap(buf) < 4 {
-		buf = make([]byte, 256)
+		buf = make([]byte, 0, 64) // small frames fit in the header's allocation
 	}
 	hdr := buf[:4]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr)
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w (%d bytes on read)", ErrFrameTooLarge, n)
 	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// readFrame reads one length-prefixed frame into fresh memory.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("%w (%d bytes on read)", ErrFrameTooLarge, n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	buf = buf[:0]
+	for len(buf) < n {
+		if step := min(n-len(buf), max(frameStep, len(buf)/4)); cap(buf)-len(buf) < step {
+			buf = append(make([]byte, 0, len(buf)+step), buf...)
+		}
+		got := len(buf)
+		buf = buf[:min(n, cap(buf))]
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more
+			}
+			return nil, err
+		}
 	}
 	return buf, nil
 }
@@ -188,15 +158,8 @@ func writeOverloadFrame(w io.Writer, retryAfter time.Duration, msg string) error
 		}
 	}
 	var hint [4]byte
-	binary.LittleEndian.PutUint32(hint[:], uint32(min64(ms, int64(^uint32(0)))))
+	binary.LittleEndian.PutUint32(hint[:], uint32(min(ms, int64(^uint32(0)))))
 	return writeStringFrame(w, statusOverloaded, hint[:], msg)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // writeStringFrame assembles status || extra || msg in a pooled buffer —
@@ -223,7 +186,7 @@ func writeStringFrame(w io.Writer, status byte, extra []byte, msg string) error 
 // server's retry-after hint. The returned payload is freshly allocated —
 // ownership transfers to the caller.
 func readResponse(r io.Reader) ([]byte, error) {
-	frame, err := readFrame(r)
+	frame, err := readFrameInto(r, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -267,19 +230,19 @@ type clientOptions struct {
 
 // TCPClient reaches the authentication server over TCP. It dials lazily,
 // applies per-operation deadlines, and retries transient connection
-// failures with exponential backoff and jitter, transparently replaying
-// the attestation handshake on a fresh connection (the server resumes the
-// session keyed by the client's quote-bound ephemeral key, so the channel
-// key survives a reconnect).
+// failures with exponential backoff and jitter, transparently resuming
+// the session on a fresh connection (the server resumes the session keyed
+// by the client's quote-bound ephemeral key, so the channel key survives a
+// reconnect).
 //
-// With WithProtocolVersion(ProtoV1) the client offers the pipelined
-// protocol: Attest asks the server to bundle the encrypted meta and data
+// By default Attest asks the server to bundle the encrypted meta and data
 // responses into its reply, and Request serves them from the local cache
 // in protocol order without touching the wire — a whole restore in one
 // network flight. The protocol's strict ordering makes the positional
 // cache sound: the first channel request after an attest is always
 // REQUEST_META, the second REQUEST_DATA (the same invariant the runtime's
-// phase naming relies on).
+// phase naming relies on). WithProtocolVersion(ProtoUnbundled) turns the
+// bundle off.
 //
 // Build it with NewTCPClient; the zero value is not usable. A TCPClient is
 // safe for concurrent use, though the restore protocol is sequential.
@@ -290,15 +253,11 @@ type TCPClient struct {
 	mu       sync.Mutex
 	conn     net.Conn
 	attested bool
-	// handshake replay state: the exact attestMsg that last attested
-	// successfully, resent on a fresh connection before retrying a
+	// handshake is the resume form of the handshake that last attested
+	// successfully, resent on a fresh connection ahead of a retried
 	// request.
 	handshake *attestMsg
-	// serverProto is the wire version the server's attest reply confirmed;
-	// it gates the pipelined reconnect replay (a legacy server decodes the
-	// handshake straight off the socket and must see nothing behind it).
-	serverProto uint8
-	// pending holds the encrypted channel responses a ProtoV1 attest
+	// pending holds the encrypted channel responses a bundled attest
 	// pre-fetched, served FIFO by Request. Cleared on every (re)attest.
 	pending [][]byte
 }
@@ -312,7 +271,7 @@ func NewTCPClient(addr string, opts ...ClientOption) *TCPClient {
 		maxRetries:     DefaultRetryBudget,
 		backoffBase:    DefaultBackoffBase,
 		backoffCap:     DefaultBackoffCap,
-		proto:          ProtoLegacy,
+		proto:          ProtoV1,
 	}
 	for _, fn := range opts {
 		fn(&o)
@@ -358,131 +317,83 @@ func (c *TCPClient) ensureConnLocked(ctx context.Context) error {
 	return nil
 }
 
-// sendHandshakeLocked sends msg and reads the server's attestation reply.
-func (c *TCPClient) sendHandshakeLocked(msg *attestMsg) ([]byte, error) {
-	if err := gob.NewEncoder(c.conn).Encode(msg); err != nil {
-		return nil, err
-	}
-	c.opt.metrics.Counter("client.flights").Inc()
-	return readResponse(c.conn)
-}
-
-// parseAttestReply splits the server's attestation reply into the channel
-// public key and any bundled channel responses. A legacy reply is the bare
-// 32-byte key; a ProtoV1 reply is
-//
-//	version(1) || pub(32) || u32 metaLen || encMeta || u32 dataLen || encData
-//
-// where a zero length means that part was not bundled. The shapes cannot
-// collide: a v1 reply is at least 41 bytes and never exactly 32.
-func parseAttestReply(payload []byte) (pub []byte, bundled [][]byte, proto uint8, err error) {
-	if len(payload) == 32 {
-		return payload, nil, ProtoLegacy, nil
-	}
-	if len(payload) < 1+32+8 || payload[0] != ProtoV1 {
-		return nil, nil, 0, fmt.Errorf("elide: malformed attest reply (%d bytes)", len(payload))
-	}
-	pub = payload[1:33]
-	rest := payload[33:]
-	for part := 0; part < 2; part++ {
-		if len(rest) < 4 {
-			return nil, nil, 0, fmt.Errorf("elide: truncated attest bundle")
-		}
-		n := binary.LittleEndian.Uint32(rest)
-		rest = rest[4:]
-		if uint32(len(rest)) < n {
-			return nil, nil, 0, fmt.Errorf("elide: truncated attest bundle part (%d of %d bytes)", len(rest), n)
-		}
-		if n > 0 {
-			bundled = append(bundled, rest[:n])
-		}
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return nil, nil, 0, fmt.Errorf("elide: %d trailing bytes after attest bundle", len(rest))
-	}
-	return pub, bundled, ProtoV1, nil
-}
-
 // Attest implements SecretChannel: it performs the attestation handshake,
-// retrying transient failures on fresh connections. At ProtoV1 the
-// handshake asks the server to bundle the meta and data responses into
-// its reply, pre-filling the cache later Requests drain.
+// retrying transient failures on fresh connections. Unless the client is
+// unbundled, the handshake asks the server to bundle the meta and data
+// responses into its reply, pre-filling the cache later Requests drain.
 func (c *TCPClient) Attest(ctx context.Context, q *sgx.Quote, clientPub []byte) ([]byte, error) {
 	var bundle byte
 	if c.opt.proto >= ProtoV1 {
 		bundle = bundleMeta | bundleData
 	}
-	return c.attest(ctx, q, clientPub, bundle)
+	return c.attest(ctx, q, clientPub, kindAttest, bundle)
 }
 
-// ResumeAttest runs the attestation handshake as a session *replay*: same
-// wire exchange as Attest, but the v1 offer carries an empty bundle
-// request, which the server reads as "this client is mid-protocol —
-// resume, don't restart". Two things follow: a resume-replicating server
-// answers with the session's original channel key (locally cached or
-// fetched from a fleet peer) rather than a fresh one, and no pre-fetched
-// responses are bundled, so nothing can land at the wrong position in the
-// already-running protocol. The failover layer uses this when it
-// re-attests an established session on a new replica; a fresh restore
-// wants Attest.
+// ResumeAttest runs the attestation handshake as a session resume: same
+// wire exchange as Attest, but the resume kind tells the server "this
+// client is mid-protocol — resume, don't restart". Two things follow: a
+// resume-replicating server answers with the session's original channel
+// key (locally cached or fetched from a fleet peer) rather than a fresh
+// one, and no pre-fetched responses are bundled, so nothing can land at
+// the wrong position in the already-running protocol. The failover layer
+// uses this when it re-attests an established session on a new replica; a
+// fresh restore wants Attest.
 func (c *TCPClient) ResumeAttest(ctx context.Context, q *sgx.Quote, clientPub []byte) ([]byte, error) {
 	c.opt.metrics.Counter("client.resume_attests").Inc()
-	return c.attest(ctx, q, clientPub, 0)
+	return c.attest(ctx, q, clientPub, kindResume, 0)
 }
 
 // attest is the shared handshake engine behind Attest and ResumeAttest.
-func (c *TCPClient) attest(ctx context.Context, q *sgx.Quote, clientPub []byte, bundle byte) ([]byte, error) {
-	msg := &attestMsg{Quote: q, ClientPub: append([]byte(nil), clientPub...), Proto: c.opt.proto}
-	if c.opt.proto >= ProtoV1 {
-		msg.Bundle = bundle
-		// Trace-context capability: stamp the restore trace so the server's
-		// session spans join it. The handshake replay on reconnects reuses
-		// this msg, keeping the resumed session in the same trace. A legacy
-		// server's gob decoder drops the fields unseen.
-		if sp := obs.SpanFromContext(ctx); sp != nil {
-			msg.TraceID, msg.SpanID = sp.TraceID(), sp.ID()
-		}
+func (c *TCPClient) attest(ctx context.Context, q *sgx.Quote, clientPub []byte, kind, bundle byte) ([]byte, error) {
+	msg := &attestMsg{Quote: q, ClientPub: append([]byte(nil), clientPub...), Kind: kind, Bundle: bundle}
+	// Stamp the restore trace so the server's session spans join it; the
+	// resume on reconnects reuses these IDs, keeping the resumed session in
+	// the same trace.
+	if sp := obs.SpanFromContext(ctx); sp != nil {
+		msg.TraceID, msg.SpanID = sp.TraceID(), sp.ID()
 	}
+	replay := *msg
+	replay.Kind, replay.Bundle = kindResume, 0
 	defer c.opt.metrics.Observe("client.attest_ns", time.Now())
-	pub, err := c.withRetry(ctx, "client.attest", func() ([]byte, error) {
+	return c.withRetry(ctx, "client.attest", func() ([]byte, error) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.pending = nil // a (re)attestation restarts the protocol sequence
+		// A connection carries one handshake: the server reads everything
+		// after it as channel requests, so a re-attest needs a new one.
+		_ = c.closeConnLocked()
 		if err := c.ensureConnLocked(ctx); err != nil {
 			return nil, err
 		}
 		c.setDeadlineLocked()
-		payload, err := c.sendHandshakeLocked(msg)
+		if err := writeHandshake(c.conn, msg); err != nil {
+			return nil, err
+		}
+		c.opt.metrics.Counter("client.flights").Inc()
+		payload, err := readResponse(c.conn)
 		if err != nil {
 			return nil, err
 		}
-		pub, bundled, proto, err := parseAttestReply(payload)
+		pub, bundled, err := parseAttestReply(payload)
 		if err != nil {
 			return nil, err
 		}
 		c.attested = true
-		c.handshake = msg
-		c.serverProto = proto
+		c.handshake = &replay
 		c.pending = bundled
 		if len(bundled) > 0 {
 			c.opt.metrics.Counter("client.bundled_attests").Inc()
 		}
 		return pub, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return pub, nil
 }
 
 // Request implements SecretChannel: one encrypted exchange on the
-// attested channel. When a ProtoV1 attest pre-fetched the response it is
+// attested channel. When the attest reply bundled the response it is
 // served from the cache without touching the wire; otherwise it is one
-// round trip. On a transient failure it reconnects, replays the
-// attestation handshake (resuming the server-side session and channel
-// key), and resends the request — against a ProtoV1 server the replay and
-// the request are pipelined into a single flight.
+// round trip. On a transient failure it reconnects and sends the session
+// resume and the request back to back — one flight — so the server-side
+// session and channel key carry over.
 func (c *TCPClient) Request(ctx context.Context, enc []byte) ([]byte, error) {
 	c.mu.Lock()
 	if !c.attested {
@@ -507,41 +418,21 @@ func (c *TCPClient) Request(ctx context.Context, enc []byte) ([]byte, error) {
 			return nil, err
 		}
 		c.setDeadlineLocked()
-		switch {
-		case fresh && c.serverProto >= ProtoV1:
-			// Pipelined resume: the handshake replay and the pending request
-			// go out back to back, then both replies are read — one flight
-			// instead of two. The replay must not re-request a bundle: the
-			// enclave is mid-protocol, and pre-fetched responses would land
-			// at the wrong positions.
-			replay := *c.handshake
-			replay.Bundle = 0
-			if err := gob.NewEncoder(c.conn).Encode(&replay); err != nil {
+		if fresh {
+			if err := writeHandshake(c.conn, c.handshake); err != nil {
 				return nil, err
 			}
-			if err := writeFrame(c.conn, enc); err != nil {
-				return nil, err
-			}
-			c.opt.metrics.Counter("client.flights").Inc()
 			c.opt.metrics.Counter("client.pipelined_resumes").Inc()
-			if _, err := readResponse(c.conn); err != nil {
-				return nil, err
-			}
-			return readResponse(c.conn)
-		case fresh:
-			// Legacy server: resume the session before the request. The
-			// sequential order matters — a legacy server decodes the
-			// handshake straight off the socket and may buffer past it.
-			replay := *c.handshake
-			replay.Bundle = 0
-			if _, err := c.sendHandshakeLocked(&replay); err != nil {
-				return nil, err
-			}
 		}
 		if err := writeFrame(c.conn, enc); err != nil {
 			return nil, err
 		}
 		c.opt.metrics.Counter("client.flights").Inc()
+		if fresh {
+			if _, err := readResponse(c.conn); err != nil {
+				return nil, err
+			}
+		}
 		return readResponse(c.conn)
 	})
 }

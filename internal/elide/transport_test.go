@@ -3,7 +3,6 @@ package elide
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -64,7 +63,7 @@ func TestFrameTooLargeOnWrite(t *testing.T) {
 func TestFrameTooLargeOnRead(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff}) // 4 GiB length header
-	_, err := readFrame(&buf)
+	_, err := readFrameInto(&buf, nil)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
@@ -104,15 +103,6 @@ func serveWire(t *testing.T, l net.Listener, handle func(i int, conn net.Conn)) 
 	}()
 }
 
-// decodeHandshake reads the client's attestMsg.
-func decodeHandshake(conn net.Conn) (*attestMsg, error) {
-	var msg attestMsg
-	if err := gob.NewDecoder(conn).Decode(&msg); err != nil {
-		return nil, err
-	}
-	return &msg, nil
-}
-
 func listen(t *testing.T) net.Listener {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -126,8 +116,8 @@ func listen(t *testing.T) net.Listener {
 // fastRetry keeps test backoffs tiny.
 func fastRetry(n int) []ClientOption {
 	return []ClientOption{
-		WithMaxRetries(n),
-		WithBackoff(time.Millisecond, 8*time.Millisecond),
+		WithRetryBudget(n),
+		WithRetryBackoff(time.Millisecond, 8*time.Millisecond),
 		WithDialTimeout(time.Second),
 		WithRequestTimeout(2 * time.Second),
 	}
@@ -138,10 +128,10 @@ func fastRetry(n int) []ClientOption {
 func TestClientRetriesDialFailures(t *testing.T) {
 	l := listen(t)
 	serveWire(t, l, func(i int, conn net.Conn) {
-		if _, err := decodeHandshake(conn); err != nil {
+		if _, err := readHandshake(conn); err != nil {
 			return
 		}
-		writeResponse(conn, make([]byte, 32))
+		writeResponse(conn, marshalAttestReply(make([]byte, 32), nil, nil))
 	})
 	var dials atomic.Int32
 	metrics := obs.NewRegistry()
@@ -200,7 +190,7 @@ func TestClientExhaustsRetryBudget(t *testing.T) {
 func TestClientDoesNotRetryRefusal(t *testing.T) {
 	l := listen(t)
 	serveWire(t, l, func(i int, conn net.Conn) {
-		if _, err := decodeHandshake(conn); err != nil {
+		if _, err := readHandshake(conn); err != nil {
 			return
 		}
 		writeErrorFrame(conn, "enclave measurement dead0000 is not the expected sanitized enclave")
@@ -245,15 +235,15 @@ func TestClientReconnectReplaysHandshake(t *testing.T) {
 	l := listen(t)
 	var handshakes atomic.Int32
 	serveWire(t, l, func(i int, conn net.Conn) {
-		if _, err := decodeHandshake(conn); err != nil {
+		if _, err := readHandshake(conn); err != nil {
 			return
 		}
 		handshakes.Add(1)
-		writeResponse(conn, make([]byte, 32))
+		writeResponse(conn, marshalAttestReply(make([]byte, 32), nil, nil))
 		if i == 0 {
 			return // drop before answering any request
 		}
-		req, err := readFrame(conn)
+		req, err := readFrameInto(conn, nil)
 		if err != nil {
 			return
 		}
@@ -282,11 +272,11 @@ func TestClientReconnectReplaysHandshake(t *testing.T) {
 func TestClientRecoversFromTruncatedResponse(t *testing.T) {
 	l := listen(t)
 	serveWire(t, l, func(i int, conn net.Conn) {
-		if _, err := decodeHandshake(conn); err != nil {
+		if _, err := readHandshake(conn); err != nil {
 			return
 		}
-		writeResponse(conn, make([]byte, 32))
-		req, err := readFrame(conn)
+		writeResponse(conn, marshalAttestReply(make([]byte, 32), nil, nil))
+		req, err := readFrameInto(conn, nil)
 		if err != nil {
 			return
 		}
@@ -301,8 +291,9 @@ func TestClientRecoversFromTruncatedResponse(t *testing.T) {
 		}
 		if dials.Add(1) == 1 {
 			// First connection: tear the stream after the attest reply
-			// (37 = frame header + status + 32-byte pub), mid-request.
-			return NewFaultConn(conn).FailReadsAfter(37 + 5).Truncating(), nil
+			// (46 = frame header + status + 41-byte unbundled reply),
+			// mid-request.
+			return NewFaultConn(conn).FailReadsAfter(46 + 5).Truncating(), nil
 		}
 		return conn, nil
 	}))
@@ -328,8 +319,8 @@ func TestClientRecoversFromTruncatedResponse(t *testing.T) {
 // immediately with the context's error, not ErrServerUnavailable.
 func TestClientContextCancellation(t *testing.T) {
 	opts := []ClientOption{
-		WithMaxRetries(1000),
-		WithBackoff(50*time.Millisecond, time.Second),
+		WithRetryBudget(1000),
+		WithRetryBackoff(50*time.Millisecond, time.Second),
 		WithDialer(func(ctx context.Context, addr string) (net.Conn, error) {
 			return nil, fmt.Errorf("connect: connection refused")
 		}),
@@ -640,8 +631,11 @@ func TestStress64ConcurrentRestores(t *testing.T) {
 			// Generous timeouts: with 64 CPU-heavy restores sharing few
 			// cores, tight deadlines measure scheduler starvation, not
 			// transport correctness.
+			// Unbundled: every restore also drives the server's request
+			// loop, which the latency histogram below checks.
 			client := NewTCPClient(l.Addr().String(),
-				WithMaxRetries(5),
+				WithProtocolVersion(ProtoUnbundled),
+				WithRetryBudget(5),
 				WithDialTimeout(30*time.Second),
 				WithRequestTimeout(time.Minute),
 				WithClientTracer(tracer),

@@ -117,7 +117,7 @@ func (t *Tracer) StartAt(name string, start time.Time) *Span {
 // process: the wire handshake carries the caller's trace ID and span ID,
 // and the server parents its session span under them, so the merged JSONL
 // from both sides renders as one tree. A zero traceID means the peer is
-// not tracing (legacy protocol, or tracing disabled) and the span becomes
+// not tracing and the span becomes
 // an ordinary local root. Safe on a nil tracer.
 func (t *Tracer) StartRemote(name string, traceID, parentID uint64) *Span {
 	if t == nil {
