@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build build-vet verify vet-security fmt-check test perfbench-test race fuzz-smoke chaos load-smoke resume-smoke churn-smoke bench-server bench-multi bench-phases bench-chaos bench-churn bench-load bench-resume bench-frames bench-obs obs-demo trace-demo clean
+.PHONY: build build-vet verify vet-security fmt-check test perfbench-test race fuzz-smoke chaos load-smoke resume-smoke churn-smoke bench-phases bench-chaos bench-churn bench-load bench-resume bench-frames bench-obs obs-demo clean
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,9 @@ build:
 # Tier-1 verification (see ROADMAP.md): formatting, build, vet (stdlib
 # analyzers plus the elide-vet secrecy suite), full tests including the
 # nested perfbench module's, the race detector over the transport-heavy
-# packages and the tracer, a short fuzz of the handshake decoder, and
-# short-mode chaos and load smoke runs.
+# packages and the tracer, the observability allocation budgets, a short
+# fuzz of the handshake decoder, and short-mode chaos, load, resume and
+# churn smoke runs.
 verify: fmt-check build
 	$(GO) vet ./...
 	$(MAKE) vet-security
@@ -37,9 +38,10 @@ vet-security: build-vet
 	$(GO) vet -vettool=bin/elide-vet ./...
 	@echo "vet-security: constanttime secretflow padleak wipe — no unsuppressed findings"
 
-# gofmt cleanliness: fails listing the offending files, fixes nothing.
+# gofmt cleanliness (the packages plus the root *.go files): fails
+# listing the offending files, fixes nothing.
 fmt-check:
-	@out="$$(gofmt -l cmd internal examples)"; \
+	@out="$$(gofmt -l cmd internal examples *.go)"; \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:
@@ -83,15 +85,6 @@ resume-smoke:
 churn-smoke:
 	$(GO) test -race -short -run TestChurnBenchSmoke -v ./internal/bench/
 
-# Concurrent-restore transport benchmark; writes BENCH_server.json.
-bench-server:
-	$(GO) run ./cmd/elide-bench -server
-
-# Multi-enclave serving benchmark: N distinct sanitized enclaves restored
-# concurrently against one server; writes BENCH_multi.json.
-bench-multi:
-	$(GO) run ./cmd/elide-bench -multi
-
 # Per-phase restore latency breakdown; writes BENCH_restore_phases.json.
 bench-phases:
 	$(GO) run ./cmd/elide-bench -phases
@@ -132,10 +125,6 @@ bench-frames:
 bench-obs:
 	$(GO) test -run 'Allocs' -bench 'BenchmarkSpan|BenchmarkAudit' -benchtime=1000x -benchmem ./internal/obs/
 
-# One traced local-data restore, span tree pretty-printed to stdout.
-trace-demo:
-	$(GO) run ./cmd/elide-bench -trace-demo
-
 # Cross-process tracing + audit demo: runs a traced, audited restore,
 # prints the merged client+server span tree, and writes
 # BENCH_trace.jsonl / BENCH_audit.jsonl (schema-validated on the way
@@ -144,4 +133,4 @@ obs-demo:
 	$(GO) run ./cmd/elide-bench -obs-demo
 
 clean:
-	rm -rf bin BENCH_server.json BENCH_multi.json BENCH_restore_phases.json BENCH_chaos.json BENCH_churn.json BENCH_load.json BENCH_resume.json BENCH_trace.jsonl BENCH_audit.jsonl
+	rm -rf bin BENCH_restore_phases.json BENCH_chaos.json BENCH_churn.json BENCH_load.json BENCH_resume.json BENCH_trace.jsonl BENCH_audit.jsonl

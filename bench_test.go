@@ -1,21 +1,19 @@
-// Benchmarks regenerating the SgxElide paper's evaluation (one benchmark
-// family per table and figure), plus ablations for the design choices
-// DESIGN.md calls out. Run with:
+// Ablation benchmarks for the design choices DESIGN.md calls out. Run
+// with:
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Ablation -benchmem
 //
-// The paper-style summary tables are printed by cmd/elide-bench.
+// The paper's tables and figures are measured by cmd/elide-bench
+// (-table1 -table2 -fig3 -fig4).
 package sgxelide_test
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"sgxelide/internal/bench"
 	"sgxelide/internal/elide"
-	"sgxelide/internal/sdk"
 )
 
 var (
@@ -32,152 +30,6 @@ func benchEnv(b *testing.B) *bench.Env {
 	}
 	return envVal
 }
-
-// buildUnsanitized builds a benchmark enclave with the elide runtime linked
-// but not yet sanitized (the sanitizer's input).
-func buildUnsanitized(b *testing.B, p *bench.Program) ([]byte, elide.Whitelist) {
-	b.Helper()
-	_, wl, err := bench.Fixtures()
-	if err != nil {
-		b.Fatal(err)
-	}
-	iface, err := elide.MergeEDL(p.EDL)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sources := append(elide.TrustedSources(), sdk.C(p.Name+".c", p.TrustedC))
-	res, err := sdk.BuildEnclave(sdk.BuildConfig{}, iface, sources...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res.ELF, wl
-}
-
-// BenchmarkTable2_Sanitize times the sanitizer per benchmark — the
-// "Sanitize Time" columns of Table 2 (remote data skips the encryption the
-// local mode pays for, so it is faster, matching the paper).
-func BenchmarkTable2_Sanitize(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opts elide.SanitizeOptions
-	}{
-		{"RemoteData", elide.SanitizeOptions{}},
-		{"LocalData", elide.SanitizeOptions{EncryptLocal: true}},
-	} {
-		for _, p := range bench.All() {
-			b.Run(fmt.Sprintf("%s/%s", mode.name, p.Name), func(b *testing.B) {
-				elfBytes, wl := buildUnsanitized(b, p)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := elide.Sanitize(elfBytes, wl, mode.opts); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable2_Restore times the full runtime restoration (attestation,
-// channel setup, meta/data retrieval, decryption, and the self-modifying
-// copy) — the "Restore Time" columns of Table 2.
-func BenchmarkTable2_Restore(b *testing.B) {
-	env := benchEnv(b)
-	for _, mode := range []struct {
-		name string
-		opts elide.SanitizeOptions
-	}{
-		{"RemoteData", elide.SanitizeOptions{}},
-		{"LocalData", elide.SanitizeOptions{EncryptLocal: true}},
-	} {
-		for _, p := range bench.All() {
-			b.Run(fmt.Sprintf("%s/%s", mode.name, p.Name), func(b *testing.B) {
-				prot, err := bench.BuildProtected(env, p, mode.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				srv, err := prot.NewServerFor(env.CA)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// The enclave launch dominates each iteration but is not the
-				// quantity of interest, so the restore is accumulated
-				// separately and reported as a metric (StopTimer would make
-				// the harness run hundreds of expensive launches).
-				var restoreNs int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					encl, rt, err := prot.Launch(env.Host, &elide.DirectClient{Session: srv.NewSession()}, prot.LocalFiles())
-					if err != nil {
-						b.Fatal(err)
-					}
-					t0 := time.Now()
-					code, err := encl.ECall("elide_restore", 0)
-					restoreNs += time.Since(t0).Nanoseconds()
-					if err != nil || code != elide.RestoreOKServer {
-						b.Fatalf("restore: %d %v (%v)", code, err, rt.LastErr())
-					}
-					encl.Destroy()
-				}
-				b.ReportMetric(float64(restoreNs)/float64(b.N)/1e6, "restore-ms/op")
-			})
-		}
-	}
-}
-
-// figureBenchmark times whole application runs (enclave load + restore +
-// built-in test suite) for the baseline and protected variants.
-func figureBenchmark(b *testing.B, local bool) {
-	env := benchEnv(b)
-	for _, p := range bench.All() {
-		if p.IsGame {
-			continue // the paper excludes the games from Figures 3 and 4
-		}
-		b.Run(p.Name+"/wSGX", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				encl, err := bench.BuildBaselineLoadOnly(env, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := p.Workload(env.Host, encl); err != nil {
-					b.Fatal(err)
-				}
-				encl.Destroy()
-			}
-		})
-		b.Run(p.Name+"/wSgxElide", func(b *testing.B) {
-			prot, err := bench.BuildProtected(env, p, elide.SanitizeOptions{EncryptLocal: local})
-			if err != nil {
-				b.Fatal(err)
-			}
-			srv, err := prot.NewServerFor(env.CA)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				encl, rt, err := prot.Launch(env.Host, &elide.DirectClient{Session: srv.NewSession()}, prot.LocalFiles())
-				if err != nil {
-					b.Fatal(err)
-				}
-				code, err := encl.ECall("elide_restore", 0)
-				if err != nil || code != elide.RestoreOKServer {
-					b.Fatalf("restore: %d %v (%v)", code, err, rt.LastErr())
-				}
-				if err := p.Workload(env.Host, encl); err != nil {
-					b.Fatal(err)
-				}
-				encl.Destroy()
-			}
-		})
-	}
-}
-
-// BenchmarkFigure3 is the remote-data overhead comparison of Figure 3.
-func BenchmarkFigure3_RemoteData(b *testing.B) { figureBenchmark(b, false) }
-
-// BenchmarkFigure4 is the local-data overhead comparison of Figure 4.
-func BenchmarkFigure4_LocalData(b *testing.B) { figureBenchmark(b, true) }
 
 // BenchmarkAblation_WholeTextVsRanges compares the paper's simple
 // whole-text-section secret (§5) against the per-function ranges
@@ -329,29 +181,6 @@ func BenchmarkAblation_SealedRestore(b *testing.B) {
 		}
 		b.ReportMetric(float64(restoreNs)/float64(b.N)/1e6, "restore-ms/op")
 	})
-}
-
-// BenchmarkTable1_SanitizerStats is not a timing benchmark: it regenerates
-// Table 1's static statistics and reports them as metrics so the table can
-// be rebuilt from benchmark output alone.
-func BenchmarkTable1_SanitizerStats(b *testing.B) {
-	env := benchEnv(b)
-	for _, p := range bench.All() {
-		b.Run(p.Name, func(b *testing.B) {
-			var prot *elide.Protected
-			var err error
-			for i := 0; i < b.N; i++ {
-				prot, err = bench.BuildProtected(env, p, elide.SanitizeOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(prot.Stats.TotalFunctions), "tc-fns")
-			b.ReportMetric(float64(prot.Stats.TotalTextBytes), "tc-bytes")
-			b.ReportMetric(float64(prot.Stats.SanitizedFunctions), "sanitized-fns")
-			b.ReportMetric(float64(prot.Stats.SanitizedBytes), "sanitized-bytes")
-		})
-	}
 }
 
 // BenchmarkAblation_TransparentFirstCall quantifies why the paper made

@@ -3,18 +3,18 @@
 // mean ± σ over -iters runs), and Figures 3 and 4 (normalized end-to-end
 // overhead with remote and local data).
 //
-// It can also benchmark the authentication-server transport itself —
-// concurrent TCP restores with attest/request latency percentiles — and
-// emit the result as machine-readable JSON:
+// It also runs the fleet scenarios — chaos, churn and failover resume
+// against replicated servers — the open-loop load test and the per-phase
+// restore breakdown, each writing its result as machine-readable JSON:
 //
-//	elide-bench -all
-//	elide-bench -table2 -iters 10
-//	elide-bench -server -server-clients 16 -server-out BENCH_server.json
-//	elide-bench -multi -multi-enclaves 4 -multi-out BENCH_multi.json
-//	elide-bench -chaos -chaos-replicas 3 -chaos-out BENCH_chaos.json
-//	elide-bench -churn -churn-replicas 3 -churn-out BENCH_churn.json
+//	elide-bench -table1 -table2 -fig3 -fig4 -iters 10
+//	elide-bench -chaos -replicas 3 -restores 48 -chaos-out BENCH_chaos.json
+//	elide-bench -churn -replicas 3 -churn-out BENCH_churn.json
 //	elide-bench -resume -resume-sessions 16 -resume-out BENCH_resume.json
 //	elide-bench -load -load-rate 500 -load-restores 10000 -load-out BENCH_load.json
+//
+// -program picks the benchmark program of every scenario; -replicas,
+// -restores and -workers size both chaos and churn.
 package main
 
 import (
@@ -33,52 +33,34 @@ func main() {
 		t2    = flag.Bool("table2", false, "reproduce Table 2")
 		f3    = flag.Bool("fig3", false, "reproduce Figure 3 (remote data)")
 		f4    = flag.Bool("fig4", false, "reproduce Figure 4 (local data)")
-		all   = flag.Bool("all", false, "reproduce everything")
+		all   = flag.Bool("all", false, "reproduce the tables and figures, and run chaos, churn, resume and phases")
 		iters = flag.Int("iters", 10, "runs per measurement (the paper uses 10)")
 
-		server      = flag.Bool("server", false, "benchmark the TCP authentication-server transport")
-		srvProgram  = flag.String("server-program", "Sha1", "benchmark program for -server")
-		srvClients  = flag.Int("server-clients", 16, "concurrent clients for -server")
-		srvSessions = flag.Int("server-sessions", 8, "server session cap for -server")
-		srvOut      = flag.String("server-out", "BENCH_server.json", "JSON output path for -server")
+		program  = flag.String("program", "Sha1", "benchmark program for -chaos, -churn, -resume, -load and -phases")
+		replicas = flag.Int("replicas", 3, "server replicas for -chaos; initial gossip members for -churn")
+		restores = flag.Int("restores", 48, "total restores for -chaos and -churn")
+		workers  = flag.Int("workers", 8, "concurrent restore workers for -chaos and -churn")
 
-		multi         = flag.Bool("multi", false, "benchmark multi-enclave serving: N distinct sanitized enclaves against one server")
-		multiEnclaves = flag.Int("multi-enclaves", 4, "distinct sanitized enclaves for -multi")
-		multiClients  = flag.Int("multi-clients", 4, "concurrent clients per enclave for -multi")
-		multiOut      = flag.String("multi-out", "BENCH_multi.json", "JSON output path for -multi")
-
-		chaos         = flag.Bool("chaos", false, "chaos-test restores against replicated servers with kills, restarts and injected faults")
-		chaosProgram  = flag.String("chaos-program", "Sha1", "benchmark program for -chaos")
-		chaosReplicas = flag.Int("chaos-replicas", 3, "server replicas for -chaos")
-		chaosRestores = flag.Int("chaos-restores", 48, "total restores for -chaos")
-		chaosWorkers  = flag.Int("chaos-workers", 8, "concurrent restore workers for -chaos")
-		chaosOut      = flag.String("chaos-out", "BENCH_chaos.json", "JSON output path for -chaos")
+		chaos    = flag.Bool("chaos", false, "chaos-test restores against replicated servers with kills, restarts and injected faults")
+		chaosOut = flag.String("chaos-out", "BENCH_chaos.json", "JSON output path for -chaos")
 
 		churn         = flag.Bool("churn", false, "churn-test a gossip fleet: kill, cold-add and restart members under restore load")
-		churnProgram  = flag.String("churn-program", "Sha1", "benchmark program for -churn")
-		churnReplicas = flag.Int("churn-replicas", 3, "initial gossip members for -churn")
-		churnRestores = flag.Int("churn-restores", 48, "total restores for -churn")
-		churnWorkers  = flag.Int("churn-workers", 8, "concurrent restore workers for -churn")
 		churnSessions = flag.Int("churn-sessions", 8, "pre-established sessions the cold member must resume for -churn")
 		churnOut      = flag.String("churn-out", "BENCH_churn.json", "JSON output path for -churn")
 
 		resume         = flag.Bool("resume", false, "benchmark failover resume: kill the attested replica, resume every session on a peer, replicated vs unreplicated")
-		resumeProgram  = flag.String("resume-program", "Sha1", "benchmark program for -resume")
 		resumeSessions = flag.Int("resume-sessions", 16, "sessions to establish and resume for -resume")
 		resumeOut      = flag.String("resume-out", "BENCH_resume.json", "JSON output path for -resume")
 
 		load         = flag.Bool("load", false, "open-loop load test: offered-rate restores against one server, pipelined vs unbundled")
-		loadProgram  = flag.String("load-program", "Sha1", "benchmark program for -load")
 		loadRate     = flag.Float64("load-rate", 500, "offered arrival rate for -load (restores/second)")
 		loadRestores = flag.Int("load-restores", 10000, "total restores offered per protocol for -load")
 		loadSessions = flag.Int("load-sessions", 1024, "server session cap for -load")
 		loadOnlyV1   = flag.Bool("load-skip-legacy", false, "measure only the pipelined protocol for -load (skip the unbundled baseline)")
 		loadOut      = flag.String("load-out", "BENCH_load.json", "JSON output path for -load")
 
-		phases    = flag.Bool("phases", false, "measure the per-phase restore latency breakdown")
-		phProgram = flag.String("phases-program", "Sha1", "benchmark program for -phases")
-		phOut     = flag.String("phases-out", "BENCH_restore_phases.json", "JSON output path for -phases")
-		traceDemo = flag.Bool("trace-demo", false, "run one traced local-data restore and print the span tree")
+		phases = flag.Bool("phases", false, "measure the per-phase restore latency breakdown")
+		phOut  = flag.String("phases-out", "BENCH_restore_phases.json", "JSON output path for -phases")
 
 		obsDemo     = flag.Bool("obs-demo", false, "run one traced+audited restore; write the merged cross-process trace and the audit log as JSONL artifacts and print the span tree")
 		obsTraceOut = flag.String("obs-trace-out", "BENCH_trace.jsonl", "merged trace JSONL output path for -obs-demo")
@@ -88,7 +70,7 @@ func main() {
 	)
 	flag.Parse()
 	if *all {
-		*t1, *t2, *f3, *f4, *server, *multi, *chaos, *churn, *resume, *phases = true, true, true, true, true, true, true, true, true, true
+		*t1, *t2, *f3, *f4, *chaos, *churn, *resume, *phases = true, true, true, true, true, true, true, true
 	}
 	if *validateAudit != "" {
 		f, err := os.Open(*validateAudit)
@@ -103,7 +85,7 @@ func main() {
 		fmt.Printf("%s: %d audit events, schema %d, all valid\n", *validateAudit, n, obs.AuditSchema)
 		return
 	}
-	if !*t1 && !*t2 && !*f3 && !*f4 && !*server && !*multi && !*chaos && !*churn && !*resume && !*load && !*phases && !*traceDemo && !*obsDemo {
+	if !*t1 && !*t2 && !*f3 && !*f4 && !*chaos && !*churn && !*resume && !*load && !*phases && !*obsDemo {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -144,160 +126,57 @@ func main() {
 		}
 		fmt.Println(bench.RenderFigure("Figure 4. Overhead with local data (w/ SgxElide vs w/ SGX).", rows))
 	}
-	if *server {
-		fmt.Printf("(benchmarking server transport: %d clients, %d-session cap...)\n",
-			*srvClients, *srvSessions)
-		res, err := bench.ServerBench(env, bench.ServerBenchConfig{
-			Program:     *srvProgram,
-			Clients:     *srvClients,
-			MaxSessions: *srvSessions,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res)
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*srvOut, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *srvOut)
-	}
-	if *multi {
-		fmt.Printf("(benchmarking multi-enclave serving: %d enclaves x %d clients...)\n",
-			*multiEnclaves, *multiClients)
-		res, err := bench.MultiBench(env, bench.MultiBenchConfig{
-			Enclaves:   *multiEnclaves,
-			ClientsPer: *multiClients,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res)
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*multiOut, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *multiOut)
-	}
 	if *chaos {
 		fmt.Printf("(chaos-testing restores: %d replicas, %d restores, %d workers...)\n",
-			*chaosReplicas, *chaosRestores, *chaosWorkers)
+			*replicas, *restores, *workers)
 		res, err := bench.ChaosBench(env, bench.ChaosConfig{
-			Program:  *chaosProgram,
-			Replicas: *chaosReplicas,
-			Restores: *chaosRestores,
-			Workers:  *chaosWorkers,
+			Program:  *program,
+			Replicas: *replicas,
+			Restores: *restores,
+			Workers:  *workers,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res)
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*chaosOut, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *chaosOut)
+		report(res, err, *chaosOut)
 	}
 	if *churn {
 		fmt.Printf("(churn-testing the gossip fleet: %d members, %d restores, %d workers...)\n",
-			*churnReplicas, *churnRestores, *churnWorkers)
+			*replicas, *restores, *workers)
 		res, err := bench.ChurnBench(env, bench.ChurnConfig{
-			Program:  *churnProgram,
-			Replicas: *churnReplicas,
-			Restores: *churnRestores,
-			Workers:  *churnWorkers,
+			Program:  *program,
+			Replicas: *replicas,
+			Restores: *restores,
+			Workers:  *workers,
 			Sessions: *churnSessions,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res)
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*churnOut, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *churnOut)
+		report(res, err, *churnOut)
 	}
 	if *resume {
 		fmt.Printf("(benchmarking failover resume: %d sessions, replicated vs baseline...)\n",
 			*resumeSessions)
 		res, err := bench.ResumeBench(env, bench.ResumeConfig{
-			Program:  *resumeProgram,
+			Program:  *program,
 			Sessions: *resumeSessions,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res)
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*resumeOut, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *resumeOut)
+		report(res, err, *resumeOut)
 	}
 	if *load {
 		fmt.Printf("(load-testing the authentication server: %d restores at %.0f rps...)\n",
 			*loadRestores, *loadRate)
 		res, err := bench.LoadBench(env, bench.LoadBenchConfig{
-			Program:       *loadProgram,
+			Program:       *program,
 			Rate:          *loadRate,
 			Restores:      *loadRestores,
 			MaxSessions:   *loadSessions,
 			SkipUnbundled: *loadOnlyV1,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res)
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*loadOut, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *loadOut)
+		report(res, err, *loadOut)
 	}
 	if *phases {
 		fmt.Printf("(measuring restore phase breakdown, %d iterations per mode...)\n", *iters)
 		res, err := bench.PhasesBench(env, bench.PhasesBenchConfig{
-			Program: *phProgram,
+			Program: *program,
 			Iters:   *iters,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(res)
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*phOut, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *phOut)
-	}
-	if *traceDemo {
-		tree, err := bench.TraceDemo(env)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(tree)
+		report(res, err, *phOut)
 	}
 	if *obsDemo {
 		demo, err := bench.ObsDemo(env)
@@ -333,6 +212,23 @@ func main() {
 		fmt.Printf("wrote %s (%d spans) and %s (%d audit events, schema-valid)\n",
 			*obsTraceOut, len(demo.Spans), *obsAuditOut, n)
 	}
+}
+
+// report prints a scenario's result and writes it to path as indented
+// JSON; a scenario error ends the run.
+func report(res fmt.Stringer, err error, path string) {
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Println(res)
+	data, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("wrote %s\n", path)
 }
 
 // writeJSONL creates path and streams JSONL into it via write.

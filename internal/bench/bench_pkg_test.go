@@ -141,26 +141,3 @@ func TestTable1Smoke(t *testing.T) {
 	}
 	t.Logf("\n%s", RenderTable1(rows))
 }
-
-// TestServerBenchSmoke runs the transport benchmark at a small scale and
-// checks the JSON-bound result has sane latency and counter fields.
-func TestServerBenchSmoke(t *testing.T) {
-	env := sharedEnv(t)
-	res, err := ServerBench(env, ServerBenchConfig{Clients: 3, MaxSessions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Restores != 3 {
-		t.Fatalf("restores = %d, want 3", res.Restores)
-	}
-	if res.ServerAttest.Count < 3 || res.ServerRequest.Count < 3 {
-		t.Fatalf("latency histograms underpopulated: %+v", res)
-	}
-	if res.ServerAttest.P50Us <= 0 || res.ServerRequest.P99Us < res.ServerRequest.P50Us {
-		t.Fatalf("implausible percentiles: %+v", res.ServerAttest)
-	}
-	if res.Counters["server.attest_ok"] < 3 || res.Counters["client.dials"] < 3 {
-		t.Fatalf("counters missing: %v", res.Counters)
-	}
-	t.Logf("\n%s", res)
-}

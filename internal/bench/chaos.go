@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -11,8 +10,6 @@ import (
 
 	"sgxelide/internal/elide"
 	"sgxelide/internal/obs"
-	"sgxelide/internal/sdk"
-	"sgxelide/internal/sgx"
 )
 
 // ChaosConfig drives the restore-survivability chaos run: Restores full
@@ -26,16 +23,13 @@ type ChaosConfig struct {
 	Replicas     int           // replicated auth servers; default 3
 	Restores     int           // total restores to drive; default 48
 	Workers      int           // concurrent restore workers; default 8
-	FaultEvery   int           // inject a scripted fault on every k-th dial (0 = off); default 5
+	FaultEvery   int           // inject a scripted fault on every k-th dial; 0 = default 5, < 0 = off
 	RestartDelay time.Duration // how long replica 0 stays dead before restarting; default 500ms, < 0 = never restart
 	Timeout      time.Duration // per-restore deadline; default 2m
 }
 
 // ChaosResult is the JSON document elide-bench -chaos writes to
-// BENCH_chaos.json. Succeeded + TypedFailures + UntypedFailures ==
-// Restores; a correct run has UntypedFailures == 0 (every failure is a
-// classified, typed error) and WorkloadFailures == 0 (no restore that
-// reported success produced wrong code).
+// BENCH_chaos.json; its Tally classifies every restore.
 type ChaosResult struct {
 	Program    string  `json:"program"`
 	Replicas   int     `json:"replicas"`
@@ -44,10 +38,7 @@ type ChaosResult struct {
 	FaultEvery int     `json:"fault_every"`
 	WallMs     float64 `json:"wall_ms"`
 
-	Succeeded        int `json:"succeeded"`
-	TypedFailures    int `json:"typed_failures"`
-	UntypedFailures  int `json:"untyped_failures"`
-	WorkloadFailures int `json:"workload_failures"`
+	Tally
 
 	// Per-strategy success counts: which link of the degradation chain
 	// produced the bytes.
@@ -78,90 +69,6 @@ func (r *ChaosResult) String() string {
 		r.SourceServer, r.SourceLocal, r.SourceSealed, r.Kills, r.Restarts,
 		r.Failovers, r.BreakerTrips, r.SessionsLost,
 		r.RestoreLatency.P50Us, r.RestoreLatency.P90Us, r.RestoreLatency.P99Us)
-}
-
-// replica is one auth server the chaos controller can kill and restart.
-type replica struct {
-	prot *elide.Protected
-	env  *Env
-	msrv *obs.Registry
-
-	// optsFor, when set, contributes extra server options per (re)start —
-	// the churn harness wires gossip here, where the bound address that
-	// the options need is finally known.
-	optsFor func(addr string) []elide.ServerOption
-
-	mu     sync.Mutex
-	addr   string
-	srv    *elide.Server
-	cancel context.CancelFunc
-	served chan error
-}
-
-// start listens (reusing the replica's address after a restart) and serves
-// until killed.
-func (r *replica) start() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	addr := r.addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	var l net.Listener
-	var err error
-	// A restart reuses the address the pool already knows; the old socket
-	// may linger briefly, so retry the bind.
-	for i := 0; i < 20; i++ {
-		l, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if err != nil {
-		return err
-	}
-	r.addr = l.Addr().String()
-	// A short drain keeps kills abrupt — that is the point of the exercise.
-	opts := []elide.ServerOption{
-		elide.WithServerMetrics(r.msrv),
-		elide.WithDrainTimeout(100 * time.Millisecond),
-	}
-	if r.optsFor != nil {
-		opts = append(opts, r.optsFor(r.addr)...)
-	}
-	srv, err := r.prot.NewServerFor(r.env.CA, opts...)
-	if err != nil {
-		_ = l.Close() // listener never served; nothing depends on the close
-		return err
-	}
-	r.srv = srv
-	ctx, cancel := context.WithCancel(context.Background())
-	r.cancel = cancel
-	r.served = make(chan error, 1)
-	served := r.served
-	go func() { served <- srv.Serve(ctx, l) }()
-	return nil
-}
-
-// server returns the currently serving *elide.Server (the latest start's).
-func (r *replica) server() *elide.Server {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.srv
-}
-
-// kill stops the replica and waits for the server to drain.
-func (r *replica) kill() {
-	r.mu.Lock()
-	cancel, served := r.cancel, r.served
-	r.cancel, r.served = nil, nil
-	r.mu.Unlock()
-	if cancel == nil {
-		return
-	}
-	cancel()
-	<-served
 }
 
 // ChaosBench provisions the replicated deployment and drives cfg.Restores
@@ -248,18 +155,7 @@ func ChaosBench(env *Env, cfg ChaosConfig) (*ChaosResult, error) {
 	// One shared endpoint pool for the whole fleet: the machine's view of
 	// replica health is collective, so a kill observed by one worker trips
 	// the breaker for all of them.
-	pool := elide.NewEndpointPool(addrs,
-		elide.WithFailoverMetrics(poolMetrics),
-		elide.WithBreakerCooldown(200*time.Millisecond),
-		elide.WithEndpointClientOptions(
-			elide.WithDialer(dial),
-			elide.WithClientMetrics(clientMetrics),
-			elide.WithRetryBudget(1),
-			elide.WithRetryBackoff(10*time.Millisecond, 100*time.Millisecond),
-			elide.WithDialTimeout(10*time.Second),
-			elide.WithRequestTimeout(30*time.Second),
-		),
-	)
+	pool := elide.NewEndpointPool(addrs, failoverOptions(poolMetrics, clientMetrics, elide.WithDialer(dial))...)
 
 	var (
 		completed atomic.Int64
@@ -313,30 +209,10 @@ func ChaosBench(env *Env, cfg ChaosConfig) (*ChaosResult, error) {
 		}
 	}()
 
-	type jobResult struct {
-		outcome *elide.RestoreOutcome
-		err     error
-		wlErr   error
-	}
-	results := make([]jobResult, cfg.Restores)
-	jobs := make(chan int)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = runChaosJob(env, prot, p, pool, runtimeMetrics, chaosMetrics, cfg.Timeout)
-				completed.Add(1)
-			}
-		}()
-	}
-	for i := 0; i < cfg.Restores; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	results := driveRestores(cfg.Restores, cfg.Workers, &completed, func() restoreResult {
+		return restoreJob(env, prot, p, pool, runtimeMetrics, chaosMetrics, cfg.Timeout)
+	})
 	wall := time.Since(start)
 	ctlStop()
 	ctlWG.Wait()
@@ -351,86 +227,26 @@ func ChaosBench(env *Env, cfg ChaosConfig) (*ChaosResult, error) {
 		Kills:      int(kills.Load()),
 		Restarts:   int(restarts.Load()),
 	}
-	for i := range results {
-		r := &results[i]
-		switch {
-		case r.err == nil && r.wlErr == nil:
-			res.Succeeded++
-			switch r.outcome.Source {
-			case "sealed":
-				res.SourceSealed++
-			case "local":
-				res.SourceLocal++
-			default:
-				res.SourceServer++
-			}
-		case r.err == nil:
-			res.WorkloadFailures++
-		case errors.Is(r.err, elide.ErrRestoreFailed),
-			errors.Is(r.err, context.DeadlineExceeded),
-			errors.Is(r.err, context.Canceled):
-			res.TypedFailures++
+	for _, r := range results {
+		if !res.add(r) {
+			continue
+		}
+		switch r.outcome.Source {
+		case "sealed":
+			res.SourceSealed++
+		case "local":
+			res.SourceLocal++
 		default:
-			res.UntypedFailures++
+			res.SourceServer++
 		}
 	}
 
-	psnap := poolMetrics.Snapshot()
-	csnap := chaosMetrics.Snapshot()
-	rsnap := runtimeMetrics.Snapshot()
-	res.Failovers = psnap.Counters["failover.switches"]
-	res.BreakerTrips = psnap.Counters["failover.breaker_trips"]
-	res.SessionsLost = psnap.Counters["failover.session_lost"]
-	res.RetriedRuns = rsnap.Counters["restore.retries"]
-	res.RestoreLatency = summarize(csnap.Histograms["chaos.restore_ns"])
 	res.Counters = map[string]uint64{}
-	for _, snap := range []obs.Snapshot{psnap, rsnap, clientMetrics.Snapshot(), serverMetrics.Snapshot()} {
-		for k, v := range snap.Counters {
-			res.Counters[k] += v
-		}
-	}
+	addCounters(res.Counters, "", poolMetrics, runtimeMetrics, clientMetrics, serverMetrics)
+	res.Failovers = res.Counters["failover.switches"]
+	res.BreakerTrips = res.Counters["failover.breaker_trips"]
+	res.SessionsLost = res.Counters["failover.session_lost"]
+	res.RetriedRuns = res.Counters["restore.retries"]
+	res.RestoreLatency = summarize(chaosMetrics.Snapshot().Histograms["chaos.restore_ns"])
 	return res, nil
-}
-
-// runChaosJob is one user machine's full flow under chaos: provision a
-// platform, build a failover client over the replica pool, drive a
-// resilient restore, and verify the restored code actually computes (the
-// workload is the last line of defence against a torn restore escaping
-// detection).
-func runChaosJob(
-	env *Env, prot *elide.Protected, p *Program, pool *elide.EndpointPool,
-	runtimeMetrics, chaosMetrics *obs.Registry, timeout time.Duration,
-) (res struct {
-	outcome *elide.RestoreOutcome
-	err     error
-	wlErr   error
-}) {
-	defer chaosMetrics.Observe("chaos.restore_ns", time.Now())
-	platform, err := sgx.NewPlatform(sgx.Config{}, env.CA)
-	if err != nil {
-		res.err = err
-		return res
-	}
-	host := sdk.NewHost(platform)
-	host.Metrics = runtimeMetrics
-	// The pool (breakers, health) is fleet-shared; the client (session,
-	// channel binding) is per-restore.
-	fc := elide.NewFailoverClientFromPool(pool)
-	defer fc.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	encl, rt, err := prot.LaunchContext(ctx, host, fc, prot.LocalFiles())
-	if err != nil {
-		res.err = err
-		return res
-	}
-	defer encl.Destroy()
-	res.outcome, res.err = elide.RestoreResilient(ctx, encl, rt, elide.RestoreOptions{
-		MaxAttempts: 4,
-		Backoff:     25 * time.Millisecond,
-	})
-	if res.err == nil {
-		res.wlErr = p.Workload(host, encl)
-	}
-	return res
 }

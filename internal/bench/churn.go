@@ -3,15 +3,12 @@ package bench
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"sgxelide/internal/elide"
 	"sgxelide/internal/obs"
-	"sgxelide/internal/sdk"
 )
 
 // ChurnConfig drives the gossip-fleet churn run: Restores full restores
@@ -25,7 +22,7 @@ import (
 // time.
 type ChurnConfig struct {
 	Program        string        // benchmark program (see All); default "Sha1"
-	Replicas       int           // initial gossip members; default 3
+	Replicas       int           // initial gossip members; default 3, and any value below 2 also becomes 3
 	Restores       int           // total restores to drive; default 48
 	Workers        int           // concurrent restore workers; default 8
 	Sessions       int           // sessions pre-established on replica 0; default 8
@@ -47,10 +44,7 @@ type ChurnResult struct {
 	Sessions int     `json:"sessions"`
 	WallMs   float64 `json:"wall_ms"`
 
-	Succeeded        int `json:"succeeded"`
-	TypedFailures    int `json:"typed_failures"`
-	UntypedFailures  int `json:"untyped_failures"`
-	WorkloadFailures int `json:"workload_failures"`
+	Tally
 
 	Kills    int `json:"kills"`
 	Restarts int `json:"restarts"`
@@ -63,7 +57,8 @@ type ChurnResult struct {
 	PoolAfterAdd   int `json:"pool_after_add"`
 
 	// Cold-added member: how long until it held every pre-established
-	// session record (anti-entropy), and what it cost to resume them.
+	// session record (anti-entropy), and what it cost to resume them
+	// (each resume is proven with a REQUEST_META round trip).
 	ConvergenceMs           float64 `json:"convergence_ms"`
 	ConvergenceRounds       int     `json:"convergence_rounds"`
 	AddedResumed            int     `json:"added_resumed"`
@@ -148,20 +143,17 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	// mesh from it. The closure captures seed0 by pointer because replica
 	// 0's address is only known once its listener is bound.
 	var seed0 string
-	gossipFor := func(m *obs.Registry) func(addr string) []elide.ServerOption {
-		return func(addr string) []elide.ServerOption {
-			seeds := []string{}
-			if seed0 != "" && seed0 != addr {
-				seeds = append(seeds, seed0)
-			}
-			return []elide.ServerOption{
-				elide.WithServerMetrics(m),
-				elide.WithServerAudit(fleetAudit),
-				elide.WithResumeReplication(fleetKey, seeds...),
-				elide.WithGossip(addr),
-				elide.WithGossipInterval(cfg.GossipInterval),
-				elide.WithSuspectTimeout(cfg.SuspectTimeout),
-			}
+	gossipFor := func(addr string) []elide.ServerOption {
+		seeds := []string{}
+		if seed0 != "" && seed0 != addr {
+			seeds = append(seeds, seed0)
+		}
+		return []elide.ServerOption{
+			elide.WithServerAudit(fleetAudit),
+			elide.WithResumeReplication(fleetKey, seeds...),
+			elide.WithGossip(addr),
+			elide.WithGossipInterval(cfg.GossipInterval),
+			elide.WithSuspectTimeout(cfg.SuspectTimeout),
 		}
 	}
 
@@ -169,7 +161,7 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	fleetMetrics := make([]*obs.Registry, cfg.Replicas)
 	for i := range replicas {
 		fleetMetrics[i] = obs.NewRegistry()
-		replicas[i] = &replica{prot: prot, env: env, msrv: fleetMetrics[i], optsFor: gossipFor(fleetMetrics[i])}
+		replicas[i] = &replica{prot: prot, env: env, msrv: fleetMetrics[i], optsFor: gossipFor}
 		if err := replicas[i].start(); err != nil {
 			return nil, err
 		}
@@ -185,7 +177,7 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 		return nil, err
 	}
 	addedMetrics := obs.NewRegistry()
-	added := &replica{prot: prot, env: env, msrv: addedMetrics, optsFor: gossipFor(addedMetrics)}
+	added := &replica{prot: prot, env: env, msrv: addedMetrics, optsFor: gossipFor}
 	defer func() {
 		for _, r := range replicas {
 			r.kill()
@@ -206,17 +198,7 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	clientMetrics := obs.NewRegistry()
 	runtimeMetrics := obs.NewRegistry()
 	churnMetrics := obs.NewRegistry()
-	clientOpts := []elide.FailoverOption{
-		elide.WithFailoverMetrics(poolMetrics),
-		elide.WithBreakerCooldown(200 * time.Millisecond),
-		elide.WithEndpointClientOptions(
-			elide.WithClientMetrics(clientMetrics),
-			elide.WithRetryBudget(1),
-			elide.WithRetryBackoff(10*time.Millisecond, 100*time.Millisecond),
-			elide.WithDialTimeout(10*time.Second),
-			elide.WithRequestTimeout(30*time.Second),
-		),
-	}
+	clientOpts := failoverOptions(poolMetrics, clientMetrics)
 	addrs := make([]string, 0, cfg.Replicas+1)
 	for _, r := range replicas {
 		addrs = append(addrs, r.addr)
@@ -236,23 +218,9 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
 	for i := range sessions {
-		priv, pub, err := sdk.GenerateECDHKeypair()
-		if err != nil {
-			return nil, err
-		}
-		q, err := quoter.quoteFor(pub)
-		if err != nil {
-			return nil, err
-		}
-		c := elide.NewTCPClient(replicas[0].addr,
-			elide.WithDialTimeout(cfg.Timeout),
-			elide.WithRequestTimeout(cfg.Timeout))
-		spub, err := c.Attest(ctx, q, pub)
-		_ = c.Close()
-		if err != nil {
+		if sessions[i], err = attestSession(ctx, replicas[0].addr, quoter, cfg.Timeout); err != nil {
 			return nil, fmt.Errorf("bench: session %d attest: %w", i, err)
 		}
-		sessions[i] = resumeSession{priv: priv, pub: pub, quote: q, serverPub: spub}
 	}
 	for i := 1; i < cfg.Replicas; i++ {
 		if err := waitCounterAtLeast(fleetMetrics[i], "server.resume_replicated", uint64(cfg.Sessions), 15*time.Second); err != nil {
@@ -341,30 +309,10 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 		}()
 	}()
 
-	type jobResult struct {
-		outcome *elide.RestoreOutcome
-		err     error
-		wlErr   error
-	}
-	results := make([]jobResult, cfg.Restores)
-	jobs := make(chan int)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = runChaosJob(env, prot, p, pool, runtimeMetrics, churnMetrics, cfg.Timeout)
-				completed.Add(1)
-			}
-		}()
-	}
-	for i := 0; i < cfg.Restores; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	results := driveRestores(cfg.Restores, cfg.Workers, &completed, func() restoreResult {
+		return restoreJob(env, prot, p, pool, runtimeMetrics, churnMetrics, cfg.Timeout)
+	})
 	res.WallMs = float64(time.Since(start).Nanoseconds()) / 1e6
 	<-ctlDone
 	if ctlErr != nil {
@@ -377,17 +325,13 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	// (Measured post-run because workers land full attests on it through
 	// the pool, which would falsely inflate a mid-run reading.)
 	attestsBefore := addedMetrics.Counter("server.attest_ok").Load()
+	wantMeta := prot.Meta.Marshal()
 	for i := range sessions {
-		ss := &sessions[i]
-		c := elide.NewTCPClient(added.addr,
-			elide.WithDialTimeout(cfg.Timeout),
-			elide.WithRequestTimeout(cfg.Timeout))
-		spub, err := c.ResumeAttest(ctx, ss.quote, ss.pub)
-		_ = c.Close()
+		resumed, _, err := sessions[i].resumeOn(ctx, added.addr, wantMeta, cfg.Timeout)
 		if err != nil {
-			return nil, fmt.Errorf("bench: session %d resume on the added member: %w", i, err)
+			return nil, fmt.Errorf("bench: session %d on the added member: %w", i, err)
 		}
-		if bytes.Equal(spub, ss.serverPub) {
+		if resumed {
 			res.AddedResumed++
 		}
 	}
@@ -398,26 +342,14 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	legacyPool := elide.NewEndpointPool([]string{legacy.addr}, clientOpts...)
 	res.LegacyRestores = 4
 	for i := 0; i < res.LegacyRestores; i++ {
-		r := runChaosJob(env, prot, p, legacyPool, runtimeMetrics, churnMetrics, cfg.Timeout)
+		r := restoreJob(env, prot, p, legacyPool, runtimeMetrics, churnMetrics, cfg.Timeout)
 		if r.err == nil && r.wlErr == nil {
 			res.LegacySucceeded++
 		}
 	}
 
-	for i := range results {
-		r := &results[i]
-		switch {
-		case r.err == nil && r.wlErr == nil:
-			res.Succeeded++
-		case r.err == nil:
-			res.WorkloadFailures++
-		case errors.Is(r.err, elide.ErrRestoreFailed),
-			errors.Is(r.err, context.DeadlineExceeded),
-			errors.Is(r.err, context.Canceled):
-			res.TypedFailures++
-		default:
-			res.UntypedFailures++
-		}
+	for _, r := range results {
+		res.add(r)
 	}
 
 	audits := fleetAudit.Counts()
@@ -427,16 +359,8 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	res.AntiEntropy = audits[obs.AuditAntiEntropy]
 	res.RestoreLatency = summarize(churnMetrics.Snapshot().Histograms["chaos.restore_ns"])
 	res.Counters = map[string]uint64{}
-	snaps := []obs.Snapshot{poolMetrics.Snapshot(), clientMetrics.Snapshot(),
-		runtimeMetrics.Snapshot(), legacyMetrics.Snapshot(), addedMetrics.Snapshot()}
-	for _, m := range fleetMetrics {
-		snaps = append(snaps, m.Snapshot())
-	}
-	for _, snap := range snaps {
-		for k, v := range snap.Counters {
-			res.Counters[k] += v
-		}
-	}
+	addCounters(res.Counters, "", append([]*obs.Registry{poolMetrics, clientMetrics,
+		runtimeMetrics, legacyMetrics, addedMetrics}, fleetMetrics...)...)
 	return res, nil
 }
 
@@ -504,15 +428,4 @@ func waitPoolSize(pool *elide.EndpointPool, want int, timeout time.Duration) err
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-func waitCounterAtLeast(m *obs.Registry, name string, want uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for m.Counter(name).Load() < want {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("counter %s = %d, want >= %d", name, m.Counter(name).Load(), want)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return nil
 }

@@ -320,36 +320,49 @@ func loadRun(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg LoadBenc
 	return run, nil
 }
 
-// phaseLatency summarizes span durations per name per hop from merged
-// trace records. Untagged records count as the client hop.
-func phaseLatency(recs []obs.SpanRecord) map[string]map[string]LatencySummary {
-	hists := make(map[string]map[string]*obs.Histogram)
-	for _, r := range recs {
-		svc := r.Svc
-		if svc == "" {
-			svc = "client"
-		}
-		m := hists[svc]
-		if m == nil {
-			m = make(map[string]*obs.Histogram)
-			hists[svc] = m
-		}
-		h := m[r.Name]
-		if h == nil {
-			h = obs.NewHistogram()
-			m[r.Name] = h
-		}
-		h.Observe(r.Duration())
+// hopHistograms accumulates latency samples per hop ("client" or
+// "server") and span name.
+type hopHistograms map[string]map[string]*obs.Histogram
+
+// observe adds one sample; an untagged hop counts as the client.
+func (h hopHistograms) observe(svc, name string, d time.Duration) {
+	if svc == "" {
+		svc = "client"
 	}
-	out := make(map[string]map[string]LatencySummary, len(hists))
-	for svc, m := range hists {
+	m := h[svc]
+	if m == nil {
+		m = make(map[string]*obs.Histogram)
+		h[svc] = m
+	}
+	hist := m[name]
+	if hist == nil {
+		hist = obs.NewHistogram()
+		m[name] = hist
+	}
+	hist.Observe(d)
+}
+
+// summaries summarizes every histogram, keyed like h.
+func (h hopHistograms) summaries() map[string]map[string]LatencySummary {
+	out := make(map[string]map[string]LatencySummary, len(h))
+	for svc, m := range h {
 		sm := make(map[string]LatencySummary, len(m))
-		for name, h := range m {
-			sm[name] = summarize(h.Snapshot())
+		for name, hist := range m {
+			sm[name] = summarize(hist.Snapshot())
 		}
 		out[svc] = sm
 	}
 	return out
+}
+
+// phaseLatency summarizes span durations per name per hop from merged
+// trace records, one sample per span.
+func phaseLatency(recs []obs.SpanRecord) map[string]map[string]LatencySummary {
+	h := hopHistograms{}
+	for _, r := range recs {
+		h.observe(r.Svc, r.Name, r.Duration())
+	}
+	return h.summaries()
 }
 
 // oneProtocolRestore is one simulated user machine's restore: fresh ECDH

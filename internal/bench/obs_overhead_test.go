@@ -1,67 +1,20 @@
 package bench
 
 import (
-	"fmt"
 	"testing"
 
 	"sgxelide/internal/elide"
 	"sgxelide/internal/obs"
-	"sgxelide/internal/sdk"
-	"sgxelide/internal/sgx"
 )
-
-// coldRestore is one full cold launch + restore of prot on a fresh
-// simulated machine — the tracedLaunch path with observability made
-// optional, so the two benchmark variants differ only in whether a
-// tracer and audit log are attached.
-func coldRestore(env *Env, prot *elide.Protected, observed bool) error {
-	platform, err := sgx.NewPlatform(sgx.Config{}, env.CA)
-	if err != nil {
-		return err
-	}
-	host := sdk.NewHost(platform)
-	var srvOpts []elide.ServerOption
-	var audit *obs.AuditLog
-	if observed {
-		tracer := obs.NewTracer(0)
-		tracer.SetService("client")
-		host.Tracer = tracer
-		serverTracer := obs.NewTracer(0)
-		serverTracer.SetService("server")
-		audit = obs.NewAuditLog(0)
-		srvOpts = []elide.ServerOption{
-			elide.WithServerTracer(serverTracer),
-			elide.WithServerAudit(audit),
-		}
-	}
-	srv, err := prot.NewServerFor(env.CA, srvOpts...)
-	if err != nil {
-		return err
-	}
-	client := &elide.DirectClient{Session: srv.NewSession()}
-	encl, rt, err := prot.Launch(host, client, prot.LocalFiles())
-	if err != nil {
-		return err
-	}
-	defer encl.Destroy()
-	rt.Audit = audit
-	code, err := elide.Restore(encl, elide.FlagSealAfter)
-	_ = client.Close()
-	if err != nil {
-		return err
-	}
-	if code != elide.RestoreOKServer {
-		return fmt.Errorf("restore code %d", code)
-	}
-	return nil
-}
 
 // BenchmarkRestoreObsOverhead quantifies what full observability costs a
 // cold restore: "bare" runs with no tracer and no audit log (every obs
 // call no-ops through the nil receivers), "observed" runs with a client
 // tracer, a server tracer joined to the same trace, and a shared audit
 // log — the elide-run -servers + -admin-addr production configuration.
-// EXPERIMENTS.md quotes the delta; the budget is <2% on p50.
+// Both run tracedLaunch on a fresh machine, so they differ only in
+// whether a tracer and audit log are attached. EXPERIMENTS.md quotes the
+// delta; the budget is <2% on p50.
 func BenchmarkRestoreObsOverhead(b *testing.B) {
 	env := sharedEnv(b)
 	prot, err := BuildProtected(env, Sha1, elide.SanitizeOptions{EncryptLocal: true})
@@ -77,7 +30,11 @@ func BenchmarkRestoreObsOverhead(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if err := coldRestore(env, prot, mode.observed); err != nil {
+				var audit *obs.AuditLog
+				if mode.observed {
+					audit = obs.NewAuditLog(0)
+				}
+				if _, err := tracedLaunch(env, prot, mode.observed, audit); err != nil {
 					b.Fatal(err)
 				}
 			}

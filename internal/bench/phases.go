@@ -47,27 +47,11 @@ func (r *PhasesBenchResult) String() string {
 	fmt.Fprintf(&b, "restore phase breakdown: %s, %d iterations per mode\n", r.Program, r.Iters)
 	for _, m := range r.Modes {
 		fmt.Fprintf(&b, "  %s (total p50 %.0fµs):\n", m.Mode, m.Total.P50Us)
-		names := make([]string, 0, len(m.Phases))
-		for name := range m.Phases {
-			names = append(names, name)
-		}
-		// Protocol order first, anything else alphabetically after.
-		rank := make(map[string]int, len(elide.RestorePhases))
-		for i, name := range elide.RestorePhases {
-			rank[name] = i + 1
-		}
-		sort.Slice(names, func(i, j int) bool {
-			ri, rj := rank[names[i]], rank[names[j]]
-			if ri == 0 && rj == 0 {
-				return names[i] < names[j]
+		for _, name := range elide.RestorePhases { // protocol order
+			s, ok := m.Phases[name]
+			if !ok {
+				continue
 			}
-			if ri == 0 || rj == 0 {
-				return rj == 0
-			}
-			return ri < rj
-		})
-		for _, name := range names {
-			s := m.Phases[name]
 			fmt.Fprintf(&b, "    %-14s p50 %8.0fµs  p90 %8.0fµs  mean %8.0fµs (n=%d)\n",
 				name, s.P50Us, s.P90Us, s.MeanUs, s.Count)
 		}
@@ -88,28 +72,29 @@ func (r *PhasesBenchResult) String() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// tracedLaunch runs one full traced restore of prot on a fresh machine and
-// returns the merged cross-process trace: the client hop's spans (tagged
-// svc=client) and the authentication server's session spans (svc=server),
-// joined into one tree by the trace context the attestation carries. Flags
-// always include seal-after so the seal phase is exercised. When audit is
-// non-nil the server and the runtime emit their security events into it.
-func tracedLaunch(env *Env, prot *elide.Protected, audit *obs.AuditLog) ([]obs.SpanRecord, error) {
+// tracedLaunch runs one full restore of prot on a fresh machine. When
+// traced, it returns the merged cross-process trace: the client hop's
+// spans (tagged svc=client) and the authentication server's session spans
+// (svc=server), joined into one tree by the trace context the attestation
+// carries; untraced, the same launch runs bare and returns no records.
+// Flags always include seal-after so the seal phase is exercised. When
+// audit is non-nil the server and the runtime emit their security events
+// into it.
+func tracedLaunch(env *Env, prot *elide.Protected, traced bool, audit *obs.AuditLog) ([]obs.SpanRecord, error) {
 	platform, err := sgx.NewPlatform(sgx.Config{}, env.CA)
 	if err != nil {
 		return nil, err
 	}
 	host := sdk.NewHost(platform)
-	tracer := obs.NewTracer(0)
-	tracer.SetService("client")
-	host.Tracer = tracer
-	serverTracer := obs.NewTracer(0)
-	serverTracer.SetService("server")
-	srvOpts := []elide.ServerOption{elide.WithServerTracer(serverTracer)}
-	if audit != nil {
-		srvOpts = append(srvOpts, elide.WithServerAudit(audit))
+	var tracer, serverTracer *obs.Tracer // nil: every span call no-ops
+	if traced {
+		tracer = obs.NewTracer(0)
+		tracer.SetService("client")
+		serverTracer = obs.NewTracer(0)
+		serverTracer.SetService("server")
 	}
-	srv, err := prot.NewServerFor(env.CA, srvOpts...)
+	host.Tracer = tracer
+	srv, err := prot.NewServerFor(env.CA, elide.WithServerTracer(serverTracer), elide.WithServerAudit(audit))
 	if err != nil {
 		return nil, err
 	}
@@ -170,75 +155,38 @@ func PhasesBench(env *Env, cfg PhasesBenchConfig) (*PhasesBenchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		phaseHists := make(map[string]*obs.Histogram)
-		serverHists := make(map[string]*obs.Histogram)
-		total := obs.NewHistogram()
-		observe := func(hists map[string]*obs.Histogram, name string, d time.Duration) {
-			h := hists[name]
-			if h == nil {
-				h = obs.NewHistogram()
-				hists[name] = h
-			}
-			h.Observe(d)
-		}
+		// One sample per phase per launch: a phase recorded as several
+		// spans (the metadata and data decrypts) counts as their sum.
+		type hopPhase struct{ svc, name string }
+		h := hopHistograms{}
 		for i := 0; i < cfg.Iters; i++ {
-			recs, err := tracedLaunch(env, prot, nil)
+			recs, err := tracedLaunch(env, prot, true, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s iter %d: %w", mode.name, i, err)
 			}
-			client, server := splitBySvc(recs)
-			for name, d := range obs.DurationsByName(client) {
-				switch name {
-				case "elide_restore":
-					total.Observe(d)
-				case "attest", "request_meta", "request_data", "decrypt", "restore", "seal":
-					observe(phaseHists, name, d)
-				}
+			sums := make(map[hopPhase]time.Duration)
+			for _, r := range recs {
+				sums[hopPhase{r.Svc, r.Name}] += r.Duration()
 			}
-			for name, d := range obs.DurationsByName(server) {
-				observe(serverHists, name, d)
+			for k, d := range sums {
+				h.observe(k.svc, k.name, d)
 			}
 		}
+		hops := h.summaries()
 		mr := PhaseModeResult{
 			Mode:         mode.name,
-			Phases:       make(map[string]LatencySummary, len(phaseHists)),
-			ServerPhases: make(map[string]LatencySummary, len(serverHists)),
-			Total:        summarize(total.Snapshot()),
+			Phases:       make(map[string]LatencySummary, len(elide.RestorePhases)),
+			ServerPhases: hops["server"],
+			Total:        hops["client"]["elide_restore"],
 		}
-		for name, h := range phaseHists {
-			mr.Phases[name] = summarize(h.Snapshot())
-		}
-		for name, h := range serverHists {
-			mr.ServerPhases[name] = summarize(h.Snapshot())
+		for _, name := range elide.RestorePhases {
+			if s, ok := hops["client"][name]; ok {
+				mr.Phases[name] = s
+			}
 		}
 		res.Modes = append(res.Modes, mr)
 	}
 	return res, nil
-}
-
-// splitBySvc partitions merged trace records into the client hop's spans
-// and the server hop's spans (untagged records count as client: they come
-// from the runtime's own tracer).
-func splitBySvc(recs []obs.SpanRecord) (client, server []obs.SpanRecord) {
-	for _, r := range recs {
-		if r.Svc == "server" {
-			server = append(server, r)
-		} else {
-			client = append(client, r)
-		}
-	}
-	return client, server
-}
-
-// TraceDemo runs a single traced local-data restore and returns the
-// rendered span tree — the quickest way to see the whole pipeline,
-// including the server hop's session spans joined into the client's trace.
-func TraceDemo(env *Env) (string, error) {
-	demo, err := ObsDemo(env)
-	if err != nil {
-		return "", err
-	}
-	return demo.Tree, nil
 }
 
 // ObsDemoResult is one fully observed restore: the merged cross-process
@@ -262,7 +210,7 @@ func ObsDemo(env *Env) (*ObsDemoResult, error) {
 		return nil, err
 	}
 	audit := obs.NewAuditLog(0)
-	recs, err := tracedLaunch(env, prot, audit)
+	recs, err := tracedLaunch(env, prot, true, audit)
 	if err != nil {
 		return nil, err
 	}

@@ -3,15 +3,11 @@ package bench
 import (
 	"bytes"
 	"context"
-	"crypto/subtle"
 	"fmt"
-	"net"
 	"time"
 
 	"sgxelide/internal/elide"
 	"sgxelide/internal/obs"
-	"sgxelide/internal/sdk"
-	"sgxelide/internal/sgx"
 )
 
 // ResumeConfig drives the kill-replica-then-resume-elsewhere benchmark:
@@ -96,165 +92,72 @@ func ResumeBench(env *Env, cfg ResumeConfig) (*ResumeResult, error) {
 	return res, nil
 }
 
-// resumeSession is one client's channel state carried across the kill.
-type resumeSession struct {
-	priv, pub []byte
-	quote     *sgx.Quote
-	serverPub []byte
-}
-
 // runResumeMode provisions replicas A and B (peered when replicate is
 // set), establishes every session on A, kills A, and replays every
 // session against B.
 func runResumeMode(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg ResumeConfig, replicate bool, counters map[string]uint64) (ResumeModeResult, error) {
 	out := ResumeModeResult{Sessions: cfg.Sessions}
-	lA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return out, err
-	}
-	lB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		_ = lA.Close()
-		return out, err
-	}
 	mA, mB := obs.NewRegistry(), obs.NewRegistry()
-	optsFor := func(m *obs.Registry, peer string) []elide.ServerOption {
-		opts := []elide.ServerOption{
-			elide.WithServerMetrics(m),
-			elide.WithDrainTimeout(100 * time.Millisecond),
-		}
-		if replicate {
+	a := &replica{prot: prot, env: env, msrv: mA}
+	b := &replica{prot: prot, env: env, msrv: mB}
+	defer a.kill()
+	defer b.kill()
+	// Each replica pushes to the other, so both addresses are bound before
+	// either serves.
+	if err := a.listen(); err != nil {
+		return out, err
+	}
+	if err := b.listen(); err != nil {
+		return out, err
+	}
+	if replicate {
+		replicateTo := func(peer string) func(string) []elide.ServerOption {
 			// The fleet sealing key is what keeps channel keys wrapped on
 			// the replication wire; a fixed key is fine for a benchmark.
-			opts = append(opts, elide.WithResumeReplication(bytes.Repeat([]byte{0xB7}, 32), peer))
+			return func(string) []elide.ServerOption {
+				return []elide.ServerOption{elide.WithResumeReplication(bytes.Repeat([]byte{0xB7}, 32), peer)}
+			}
 		}
-		return opts
+		a.optsFor, b.optsFor = replicateTo(b.addr), replicateTo(a.addr)
 	}
-	serve := func(l net.Listener, opts []elide.ServerOption) (context.CancelFunc, chan error, error) {
-		srv, err := prot.NewServerFor(env.CA, opts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		served := make(chan error, 1)
-		go func() { served <- srv.Serve(ctx, l) }()
-		return cancel, served, nil
-	}
-	killA, servedA, err := serve(lA, optsFor(mA, lB.Addr().String()))
-	if err != nil {
-		_ = lA.Close()
-		_ = lB.Close()
+	if err := a.start(); err != nil {
 		return out, err
 	}
-	killedA := false
-	defer func() {
-		if !killedA {
-			killA()
-			<-servedA
-		}
-	}()
-	cancelB, servedB, err := serve(lB, optsFor(mB, lA.Addr().String()))
-	if err != nil {
-		_ = lB.Close()
+	if err := b.start(); err != nil {
 		return out, err
 	}
-	defer func() {
-		cancelB()
-		<-servedB
-	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
-	wantMeta := prot.Meta.Marshal()
-
 	sessions := make([]resumeSession, cfg.Sessions)
 	for i := range sessions {
-		priv, pub, err := sdk.GenerateECDHKeypair()
-		if err != nil {
-			return out, err
-		}
-		q, err := quoter.quoteFor(pub)
-		if err != nil {
-			return out, err
-		}
-		c := elide.NewTCPClient(lA.Addr().String(),
-			elide.WithDialTimeout(cfg.Timeout),
-			elide.WithRequestTimeout(cfg.Timeout),
-		)
-		spub, err := c.Attest(ctx, q, pub)
-		_ = c.Close()
-		if err != nil {
+		var err error
+		if sessions[i], err = attestSession(ctx, a.addr, quoter, cfg.Timeout); err != nil {
 			return out, fmt.Errorf("session %d attest: %w", i, err)
 		}
-		sessions[i] = resumeSession{priv: priv, pub: pub, quote: q, serverPub: spub}
 	}
-
 	if replicate {
 		// The push is async; the kill must not race it or the run would
 		// measure a replication gap, not the steady state.
-		deadline := time.Now().Add(10 * time.Second)
-		for mB.Counter("server.resume_replicated").Load() < uint64(cfg.Sessions) {
-			if time.Now().After(deadline) {
-				return out, fmt.Errorf("only %d/%d sessions replicated to the peer",
-					mB.Counter("server.resume_replicated").Load(), cfg.Sessions)
-			}
-			time.Sleep(2 * time.Millisecond)
+		if err := waitCounterAtLeast(mB, "server.resume_replicated", uint64(cfg.Sessions), 10*time.Second); err != nil {
+			return out, fmt.Errorf("sessions not replicated to the peer: %w", err)
 		}
 	}
-	killA()
-	<-servedA
-	killedA = true
+	a.kill()
 
+	wantMeta := prot.Meta.Marshal()
 	latency := obs.NewHistogram()
 	start := time.Now()
 	for i := range sessions {
-		ss := &sessions[i]
-		c := elide.NewTCPClient(lB.Addr().String(),
-			elide.WithDialTimeout(cfg.Timeout),
-			elide.WithRequestTimeout(cfg.Timeout),
-		)
-		t0 := time.Now()
-		spub, err := c.ResumeAttest(ctx, ss.quote, ss.pub)
+		resumed, took, err := sessions[i].resumeOn(ctx, b.addr, wantMeta, cfg.Timeout)
 		if err != nil {
-			_ = c.Close()
-			return out, fmt.Errorf("session %d resume: %w", i, err)
+			return out, fmt.Errorf("session %d: %w", i, err)
 		}
-		latency.Observe(time.Since(t0))
-		if bytes.Equal(spub, ss.serverPub) {
+		latency.Observe(took)
+		if resumed {
 			out.Resumed++
 		} else {
 			out.ReAttested++
-		}
-		// Whatever key the replica answered with, the channel must work:
-		// a resumed session reuses the old key, a downgraded one derives a
-		// fresh one — a torn state that does neither is a harness bug.
-		err = func() error {
-			defer func() { _ = c.Close() }()
-			key, err := sdk.DeriveChannelKey(ss.priv, spub)
-			if err != nil {
-				return err
-			}
-			defer sdk.Wipe(key)
-			enc, err := elide.ChannelSeal(key, []byte{elide.RequestMeta})
-			if err != nil {
-				return err
-			}
-			resp, err := c.Request(ctx, enc)
-			if err != nil {
-				return fmt.Errorf("post-resume request: %w", err)
-			}
-			meta, err := elide.ChannelOpen(key, resp)
-			if err != nil {
-				return err
-			}
-			defer sdk.Wipe(meta)
-			if subtle.ConstantTimeCompare(meta, wantMeta) != 1 {
-				return fmt.Errorf("post-resume request returned wrong metadata")
-			}
-			return nil
-		}()
-		if err != nil {
-			return out, fmt.Errorf("session %d: %w", i, err)
 		}
 	}
 	out.WallMs = float64(time.Since(start).Nanoseconds()) / 1e6
@@ -266,10 +169,6 @@ func runResumeMode(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg Re
 	if replicate {
 		prefix = "replicated."
 	}
-	for _, snap := range []obs.Snapshot{mA.Snapshot(), mB.Snapshot()} {
-		for k, v := range snap.Counters {
-			counters[prefix+k] += v
-		}
-	}
+	addCounters(counters, prefix, mA, mB)
 	return out, nil
 }

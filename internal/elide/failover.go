@@ -22,6 +22,10 @@ const (
 	BreakerHalfOpen
 )
 
+// healthAlpha is the smoothing factor of an endpoint's success and
+// latency EWMAs (larger = faster reaction to recent outcomes).
+const healthAlpha = 0.3
+
 // Endpoint is one replicated authentication server in an EndpointPool:
 // its address plus the local view of its health — a circuit breaker and
 // success/latency EWMAs. All state is caller-local (each user machine
@@ -63,7 +67,6 @@ func (e *Endpoint) Health() float64 {
 type poolOptions struct {
 	failThreshold int           // consecutive failures that trip the breaker
 	cooldown      time.Duration // open → half-open delay
-	alpha         float64       // EWMA smoothing factor
 	metrics       *obs.Registry
 	audit         *obs.AuditLog
 	clientOpts    []ClientOption
@@ -94,7 +97,6 @@ func NewEndpointPool(addrs []string, opts ...FailoverOption) *EndpointPool {
 	o := poolOptions{
 		failThreshold: DefaultBreakerThreshold,
 		cooldown:      DefaultBreakerCooldown,
-		alpha:         DefaultHealthAlpha,
 		now:           time.Now,
 	}
 	for _, fn := range opts {
@@ -193,7 +195,7 @@ func (p *EndpointPool) pick(exclude map[*Endpoint]bool) *Endpoint {
 // record feeds one operation's outcome into the endpoint's health view
 // and drives the breaker state machine.
 func (p *EndpointPool) record(e *Endpoint, ok bool, dur time.Duration) {
-	a := p.opt.alpha
+	a := healthAlpha
 	e.mu.Lock()
 	if ok {
 		e.consecFails = 0

@@ -458,7 +458,7 @@ func parseDigest(b []byte) (map[[32]byte]struct{}, error) {
 type gossiper struct {
 	m        *membership
 	rep      *resumeReplicator
-	resume   ResumeStore
+	resume   *lruResumeStore
 	fleetKey []byte
 
 	interval       time.Duration
@@ -469,7 +469,7 @@ type gossiper struct {
 	round uint64 // rounds completed; gates the periodic dead re-probe
 }
 
-func newGossiper(self string, seeds []string, rep *resumeReplicator, resume ResumeStore,
+func newGossiper(self string, seeds []string, rep *resumeReplicator, resume *lruResumeStore,
 	fleetKey []byte, interval, suspectTimeout time.Duration,
 	metrics *obs.Registry, audit *obs.AuditLog) *gossiper {
 	if interval <= 0 {
@@ -620,22 +620,10 @@ func (g *gossiper) directPing(target string) bool {
 	return false
 }
 
-// resumeBindingLister is the optional ResumeStore capability anti-entropy
-// needs: enumerate the bindings currently held. The in-process LRU
-// implements it; an external store that does not simply opts out of
-// anti-entropy (push, fetch, and membership still work).
-type resumeBindingLister interface {
-	Bindings() [][32]byte
-}
-
 // antiEntropy runs one digest exchange with addr: send the local binding
 // set, adopt every wrapped record the peer holds that we lack.
 func (g *gossiper) antiEntropy(addr string) {
-	lister, ok := g.resume.(resumeBindingLister)
-	if !ok {
-		return
-	}
-	sealed, err := sealEncrypt(g.fleetKey, marshalDigest(lister.Bindings()))
+	sealed, err := sealEncrypt(g.fleetKey, marshalDigest(g.resume.Bindings()))
 	if err != nil {
 		g.metrics.Counter("server.gossip_errors").Inc()
 		return
@@ -707,15 +695,10 @@ func (g *gossiper) serveDigest(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	lister, ok := g.resume.(resumeBindingLister)
-	if !ok {
-		// No enumerable store: a well-formed empty reply.
-		return binary.LittleEndian.AppendUint32(nil, 0), nil
-	}
 	var out []byte
 	out = binary.LittleEndian.AppendUint32(out, 0)
 	sent := 0
-	for _, binding := range lister.Bindings() {
+	for _, binding := range g.resume.Bindings() {
 		if sent >= antiEntropyBatch {
 			break
 		}

@@ -49,8 +49,6 @@ const (
 	DefaultBreakerThreshold = 3
 	// DefaultBreakerCooldown is the open → half-open delay.
 	DefaultBreakerCooldown = 5 * time.Second
-	// DefaultHealthAlpha is the endpoint health EWMA smoothing factor.
-	DefaultHealthAlpha = 0.3
 	// DefaultGossipInterval is the membership probe/gossip round cadence.
 	DefaultGossipInterval = time.Second
 	// DefaultSuspectTimeout is how long a suspected member has to refute
@@ -163,13 +161,6 @@ func WithResumeTTL(d time.Duration) ServerOption {
 	return func(o *serverOptions) { o.resumeTTL = d }
 }
 
-// WithResumeStore replaces the session-resumption cache with an external
-// ResumeStore implementation (default: the in-process LRU sized by
-// WithResumeCacheSize). The store must be safe for concurrent use.
-func WithResumeStore(rs ResumeStore) ServerOption {
-	return func(o *serverOptions) { o.resumeStore = rs }
-}
-
 // WithResumeReplication joins this server to a resume-replication fleet
 // (DESIGN §14): fleetKey is the shared AES sealing key (16/24/32 bytes)
 // under which records cross the wire, peers are the replica addresses to
@@ -277,12 +268,6 @@ func WithBreakerThreshold(n int) FailoverOption {
 // half-open probe is allowed (default DefaultBreakerCooldown).
 func WithBreakerCooldown(d time.Duration) FailoverOption {
 	return func(o *poolOptions) { o.cooldown = d }
-}
-
-// WithHealthAlpha sets the EWMA smoothing factor in (0, 1] (default
-// DefaultHealthAlpha; larger = faster reaction to recent outcomes).
-func WithHealthAlpha(a float64) FailoverOption {
-	return func(o *poolOptions) { o.alpha = a }
 }
 
 // WithFailoverMetrics wires the pool into an obs registry: per-endpoint

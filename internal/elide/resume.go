@@ -14,11 +14,10 @@ import (
 // established channel by the quote-bound client ephemeral key hash; a
 // reconnecting client replays its handshake and gets the same channel key
 // back, so the enclave's derived key stays valid across the reconnect.
-// This file extracts that cache behind the ResumeStore interface — the
-// in-process LRU stays the default — and defines the replicated record
-// format: what one server may hand another so *any* replica can resume
-// *any* client (see replication.go for the wire plumbing and DESIGN §14
-// for the threat model).
+// This file holds that cache, an in-process LRU, and defines the
+// replicated record format: what one server may hand another so *any*
+// replica can resume *any* client (see replication.go for the wire
+// plumbing and DESIGN §14 for the threat model).
 
 // ResumeRecord is one cached attested channel, the unit both the local
 // store and the replication link deal in.
@@ -41,24 +40,11 @@ func (r ResumeRecord) expired(now time.Time) bool {
 	return !r.ExpiresAt.IsZero() && now.After(r.ExpiresAt)
 }
 
-// ResumeStore is the session-resumption cache behind the server. Put
-// caches (or refreshes) one established channel; Get resolves a client
-// binding, reporting expired=true when the only entry found was past its
-// TTL (the caller audits that distinctly from a plain miss); Len reports
-// the live entry count. Implementations must be safe for concurrent use.
-//
-// The default is the in-process LRU (WithResumeCacheSize); replicated
-// deployments keep that default and layer WithResumeReplication on top,
-// but WithResumeStore accepts any external implementation.
-type ResumeStore interface {
-	Put(rec ResumeRecord)
-	Get(binding [32]byte) (rec ResumeRecord, ok bool, expired bool)
-	Len() int
-}
-
-// lruResumeStore is the default ResumeStore: a true LRU (both a hit and a
-// re-store refresh recency, so a hot resumed session cannot be evicted
-// before cold ones) with lazy per-entry expiry.
+// lruResumeStore is the session-resumption cache behind the server,
+// sized by WithResumeCacheSize: a true LRU (both a hit and a re-store
+// refresh recency, so a hot resumed session cannot be evicted before
+// cold ones) with lazy per-entry expiry. Replicated deployments layer
+// WithResumeReplication on top of it. Safe for concurrent use.
 type lruResumeStore struct {
 	mu      sync.Mutex
 	cap     int
@@ -67,8 +53,8 @@ type lruResumeStore struct {
 	now     func() time.Time           // test seam
 }
 
-// newLRUResumeStore builds the default store; cap <= 0 disables caching
-// (Put is a no-op, Get always misses).
+// newLRUResumeStore builds the store; cap <= 0 disables caching (Put is
+// a no-op, Get always misses).
 func newLRUResumeStore(cap int) *lruResumeStore {
 	return &lruResumeStore{
 		cap:     cap,
@@ -78,8 +64,8 @@ func newLRUResumeStore(cap int) *lruResumeStore {
 	}
 }
 
-// Put implements ResumeStore. The record's slices are copied: callers
-// (and the wire unmarshaler) reuse their buffers.
+// Put caches (or refreshes) one established channel. The record's slices
+// are copied: callers (and the wire unmarshaler) reuse their buffers.
 func (s *lruResumeStore) Put(rec ResumeRecord) {
 	if s.cap <= 0 {
 		return
@@ -103,8 +89,9 @@ func (s *lruResumeStore) Put(rec ResumeRecord) {
 	s.entries[rec.Binding] = s.order.PushBack(&rec)
 }
 
-// Get implements ResumeStore: a hit refreshes recency; an entry past its
-// TTL is removed and reported as expired, not as a hit.
+// Get resolves a client binding: a hit refreshes recency; an entry past
+// its TTL is removed and reported as expired, not as a hit (the caller
+// audits that distinctly from a plain miss).
 func (s *lruResumeStore) Get(binding [32]byte) (ResumeRecord, bool, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -122,16 +109,16 @@ func (s *lruResumeStore) Get(binding [32]byte) (ResumeRecord, bool, bool) {
 	return *rec, true, false
 }
 
-// Len implements ResumeStore.
+// Len reports the live entry count.
 func (s *lruResumeStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
 }
 
-// Bindings implements the resumeBindingLister capability anti-entropy
-// (membership.go) keys on: a snapshot of the non-expired bindings held.
-// Bindings are SHA-256 values, safe to compare against a peer's digest.
+// Bindings is what anti-entropy (membership.go) keys on: a snapshot of
+// the non-expired bindings held. Bindings are SHA-256 values, safe to
+// compare against a peer's digest.
 func (s *lruResumeStore) Bindings() [][32]byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -50,9 +50,8 @@ type serverOptions struct {
 	attestBurst int
 	maxInflight int // per-enclave concurrent channel requests (0 = off)
 	resumeTTL   time.Duration
-	resumeStore ResumeStore // nil = the default in-process LRU
-	fleetKey    []byte      // shared fleet sealing key (enables replication)
-	peers       []string    // replication peers / gossip seeds
+	fleetKey    []byte   // shared fleet sealing key (enables replication)
+	peers       []string // replication peers / gossip seeds
 	metrics     *obs.Registry
 	tracer      *obs.Tracer
 	audit       *obs.AuditLog
@@ -83,11 +82,10 @@ type Server struct {
 	// its attestation handshake; keying the established channel by the
 	// quote-bound client ephemeral key lets the server hand back the same
 	// channel key, so the enclave's derived key stays valid (the moral
-	// equivalent of TLS session resumption). The cache lives behind the
-	// ResumeStore interface (resume.go); the default is the in-process
-	// LRU with lazy TTL expiry. rep, when non-nil, replicates records to
-	// fleet peers and fetches on resume misses (replication.go).
-	resume ResumeStore
+	// equivalent of TLS session resumption). The cache is an in-process
+	// LRU with lazy TTL expiry (resume.go). rep, when non-nil, replicates
+	// records to fleet peers and fetches on resume misses (replication.go).
+	resume *lruResumeStore
 	rep    *resumeReplicator
 
 	// gsp, when non-nil, is the SWIM membership layer (membership.go);
@@ -145,15 +143,11 @@ func NewMultiServer(caPub *ecdsa.PublicKey, store *SecretStore, opts ...ServerOp
 			return nil, err
 		}
 	}
-	resume := o.resumeStore
-	if resume == nil {
-		resume = newLRUResumeStore(o.resumeCap)
-	}
 	s := &Server{
 		caPub:  caPub,
 		store:  store,
 		opt:    o,
-		resume: resume,
+		resume: newLRUResumeStore(o.resumeCap),
 		qos:    make(map[[32]byte]*qosState),
 	}
 	if len(o.peers) > 0 || o.gossipSelf != "" {
@@ -331,7 +325,7 @@ func (ss *Session) auditShed(err error, detail string) {
 }
 
 // resumeGet resolves a cached channel for this client ephemeral key; a
-// hit refreshes its recency in the default store (a hot session must
+// hit refreshes its recency in the LRU (a hot session must
 // outlive cold ones), and expired reports a TTL lapse distinctly from a
 // plain miss so Attest can audit it.
 func (s *Server) resumeGet(binding [32]byte) (rec ResumeRecord, ok, expired bool) {
@@ -342,7 +336,7 @@ func (s *Server) resumeGet(binding [32]byte) (rec ResumeRecord, ok, expired bool
 // and reports whether it was cached (false when resumption is disabled —
 // nothing to replicate either).
 func (s *Server) resumePut(binding [32]byte, pub, channelKey []byte, mr [32]byte) (ResumeRecord, bool) {
-	if s.opt.resumeStore == nil && s.opt.resumeCap <= 0 {
+	if s.opt.resumeCap <= 0 {
 		return ResumeRecord{}, false
 	}
 	rec := ResumeRecord{

@@ -598,6 +598,7 @@ func TestStress64ConcurrentRestores(t *testing.T) {
 	ca, h := env(t)
 	p := buildApp(t, h, SanitizeOptions{})
 	metrics := obs.NewRegistry()
+	clientMetrics := obs.NewRegistry()
 	tracer := obs.NewTracer(0)
 	srvTracer := obs.NewTracer(0)
 	srv, err := p.NewServerFor(ca,
@@ -639,6 +640,7 @@ func TestStress64ConcurrentRestores(t *testing.T) {
 				WithDialTimeout(30*time.Second),
 				WithRequestTimeout(time.Minute),
 				WithClientTracer(tracer),
+				WithClientMetrics(clientMetrics),
 			)
 			defer client.Close()
 			encl, rt, err := p.Launch(host, client, p.LocalFiles())
@@ -673,6 +675,17 @@ func TestStress64ConcurrentRestores(t *testing.T) {
 	snap := metrics.Snapshot()
 	if snap.Histograms["server.request_ns"].Count == 0 {
 		t.Fatal("request latency histogram empty")
+	}
+	// Every client dialed, attested and drove the request loop at least
+	// once, so each of these counts is at least one per client.
+	for name, got := range map[string]uint64{
+		"client.dials":      clientMetrics.Counter("client.dials").Load(),
+		"server.attest_ns":  snap.Histograms["server.attest_ns"].Count,
+		"server.request_ns": snap.Histograms["server.request_ns"].Count,
+	} {
+		if got < clients {
+			t.Fatalf("%s = %d, want >= %d", name, got, clients)
+		}
 	}
 	// Each client's trace must have synthesized its own restore span — the
 	// synthesis filters the shared ring by trace ID, so a miscount here
