@@ -9,8 +9,8 @@ build:
 # analyzers plus the elide-vet secrecy suite), full tests including the
 # nested perfbench module's, the race detector over the transport-heavy
 # packages and the tracer, the observability allocation budgets, a short
-# fuzz of the handshake decoder, and short-mode chaos, load, resume and
-# churn smoke runs.
+# exploring fuzz of the handshake and member-list decoders, and
+# short-mode chaos, load, resume and churn smoke runs.
 verify: fmt-check build
 	$(GO) vet ./...
 	$(MAKE) vet-security
@@ -56,11 +56,15 @@ perfbench-test:
 race:
 	$(GO) test -race ./internal/elide/... ./internal/sdk/... ./internal/obs/...
 
-# Ten seconds of native fuzzing on the handshake decoder, the one decoder
-# an unauthenticated peer reaches (FuzzReadHandshake in
-# internal/elide/handshake_test.go).
+# Ten seconds of native fuzzing on each decoder an unauthenticated peer
+# reaches: the handshake (FuzzReadHandshake, handshake_test.go) and the
+# member list a client reads from any server it dials (FuzzParseMembers,
+# membership_test.go). -fuzzminimizetime 0 keeps the time for
+# exploration: minimizing a new input defaults to 60 s, which would use
+# up the whole run on the first find.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzReadHandshake$$' -fuzztime 10s ./internal/elide/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadHandshake$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/elide/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMembers$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/elide/
 
 # Scaled-down chaos smoke: replicated servers, a mid-run kill + restart,
 # scripted connection faults; every restore must succeed or fail typed.

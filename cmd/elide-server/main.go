@@ -24,20 +24,16 @@
 // of the files — and give clients the whole fleet via elide-run -servers.
 // Every replica can answer any restore independently. Session state is
 // per-replica by default (after a failover the client pays a full
-// re-attest); with -peers and a shared -fleet-key the replicas replicate
-// their session-resumption records to each other (wrapped under the fleet
-// sealing key — channel keys never cross the wire in cleartext), so any
-// replica can resume any client's attested channel and a failover costs
-// zero extra attestation flights (DESIGN §14):
-//
-//	elide-server -listen :7788 -peers host2:7788,host3:7788 -fleet-key fleet.key
-//
-// With -gossip-advertise the static peer list becomes a seed list: the
-// replicas run SWIM-style failure detection over the same peer links,
-// discover the whole fleet from any one live seed, declare unreachable
-// members suspect and then dead (and drop them from client endpoint
-// pools), and anti-entropy-sync resume records so a cold-started replica
-// converges without waiting for client traffic (DESIGN §15):
+// re-attest). With a shared -fleet-key and -gossip-advertise the replicas
+// form a fleet (DESIGN §14–15): they replicate session-resumption records
+// to each other, wrapped under the fleet sealing key (channel keys never
+// cross the wire in cleartext), so any member resumes any client's
+// attested channel and a failover costs zero extra attestation flights.
+// -peers are seeds: a member learns the whole fleet from any one live
+// seed, runs SWIM-style failure detection over the peer links, declares
+// unreachable members suspect and then dead (and drops them from client
+// endpoint pools), and anti-entropy-syncs resume records so a cold-started
+// member converges without waiting for client traffic:
 //
 //	elide-server -listen :7788 -gossip-advertise host1:7788 \
 //	    -peers host2:7788 -fleet-key fleet.key
@@ -87,11 +83,11 @@ func main() {
 		enclaveBurst    = flag.Int("enclave-burst", 0, "per-enclave attest burst allowance for -enclave-rps (0 = the rate rounded up)")
 		enclaveInflight = flag.Int("enclave-inflight", 0, "per-enclave cap on concurrently served channel requests (0 = unlimited)")
 
-		peers     = flag.String("peers", "", "comma-separated replica addresses to replicate session-resumption records to/from (requires -fleet-key); with -gossip-advertise they double as gossip seeds")
-		fleetKey  = flag.String("fleet-key", "", "path to the shared fleet sealing key (16/24/32 raw bytes, or that many hex-encoded); enables accepting resume replication")
+		peers     = flag.String("peers", "", "comma-separated fleet seeds: addresses of members to join through (requires -fleet-key)")
+		fleetKey  = flag.String("fleet-key", "", "path to the shared fleet sealing key (16/24/32 raw bytes, or that many hex-encoded); makes this replica a fleet member (requires -gossip-advertise)")
 		resumeTTL = flag.Duration("resume-ttl", elide.DefaultResumeTTL, "how long a cached session may be resumed before a full re-attest is required (0 = no expiry)")
 
-		gossipAdvertise = flag.String("gossip-advertise", "", "address this replica advertises to the fleet; enables SWIM gossip membership and anti-entropy resume sync (requires -fleet-key; -peers become the seeds)")
+		gossipAdvertise = flag.String("gossip-advertise", "", "address this replica advertises to the fleet, the one the other members dial back (requires -fleet-key)")
 		gossipInterval  = flag.Duration("gossip-interval", elide.DefaultGossipInterval, "gossip probe/anti-entropy tick for -gossip-advertise")
 		suspectTimeout  = flag.Duration("suspect-timeout", elide.DefaultSuspectTimeout, "how long an unrefuted suspicion lasts before the member is declared dead")
 
@@ -128,37 +124,29 @@ func main() {
 		opts = append(opts, elide.WithEnclaveInflightLimit(*enclaveInflight))
 	}
 	opts = append(opts, elide.WithResumeTTL(*resumeTTL))
-	if *peers != "" && *fleetKey == "" {
-		fatal(fmt.Errorf("elide-server: -peers requires -fleet-key; resume records only cross the wire wrapped under the fleet sealing key"))
-	}
-	if *gossipAdvertise != "" && *fleetKey == "" {
-		fatal(fmt.Errorf("elide-server: -gossip-advertise requires -fleet-key; membership summaries only cross the wire sealed under the fleet key"))
+	if (*peers != "" || *gossipAdvertise != "") && *fleetKey == "" {
+		fatal(fmt.Errorf("elide-server: -peers and -gossip-advertise require -fleet-key; resume records and membership only cross the wire sealed under the fleet key"))
 	}
 	if *fleetKey != "" {
+		if *gossipAdvertise == "" {
+			fatal(fmt.Errorf("elide-server: -fleet-key requires -gossip-advertise, the address the other members dial back"))
+		}
 		key, err := loadFleetKey(*fleetKey)
 		if err != nil {
 			fatal(err)
 		}
-		var peerList []string
+		var seeds []string
 		for _, p := range strings.Split(*peers, ",") {
 			if p = strings.TrimSpace(p); p != "" {
-				peerList = append(peerList, p)
+				seeds = append(seeds, p)
 			}
 		}
-		opts = append(opts, elide.WithResumeReplication(key, peerList...))
-		if len(peerList) > 0 {
-			fmt.Printf("elide-server: replicating session resumption to %s\n", strings.Join(peerList, ", "))
-		} else {
-			fmt.Printf("elide-server: accepting session-resumption replication (no push peers)\n")
-		}
-		if *gossipAdvertise != "" {
-			opts = append(opts,
-				elide.WithGossip(*gossipAdvertise),
-				elide.WithGossipInterval(*gossipInterval),
-				elide.WithSuspectTimeout(*suspectTimeout))
-			fmt.Printf("elide-server: gossiping fleet membership as %s (interval %s, suspect timeout %s)\n",
-				*gossipAdvertise, *gossipInterval, *suspectTimeout)
-		}
+		opts = append(opts,
+			elide.WithFleet(key, *gossipAdvertise, seeds...),
+			elide.WithGossipInterval(*gossipInterval),
+			elide.WithSuspectTimeout(*suspectTimeout))
+		fmt.Printf("elide-server: fleet member %s, seeds [%s] (gossip interval %s, suspect timeout %s)\n",
+			*gossipAdvertise, strings.Join(seeds, ", "), *gossipInterval, *suspectTimeout)
 	}
 	var srv *elide.Server
 	var err error

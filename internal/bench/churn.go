@@ -12,9 +12,8 @@ import (
 )
 
 // ChurnConfig drives the gossip-fleet churn run: Restores full restores
-// flow through a fleet of Replicas gossip members (every one seeded with
-// only replica 0 — bootstrap is the mesh's job) plus one standalone
-// replica with no fleet key and no gossip, while the controller kills a
+// flow through a fleet of Replicas members (every one seeded with only
+// replica 0 — bootstrap is the mesh's job), while the controller kills a
 // member at ~1/4 of the run, cold-adds a brand-new member at ~1/2 (and
 // proves it converges on the fleet's resume records without a single
 // attestation flight), and restarts the killed member at ~3/4. The client
@@ -50,8 +49,8 @@ type ChurnResult struct {
 	Restarts int `json:"restarts"`
 	Added    int `json:"added"`
 
-	// Client pool size as the fleet view changed: full fleet + standalone,
-	// after the kill was gossiped, after the cold member joined.
+	// Client pool size as the fleet view changed: full fleet, after the
+	// kill was gossiped, after the cold member joined.
 	PoolBeforeKill int `json:"pool_before_kill"`
 	PoolAfterKill  int `json:"pool_after_kill"`
 	PoolAfterAdd   int `json:"pool_after_add"`
@@ -64,11 +63,6 @@ type ChurnResult struct {
 	AddedResumed            int     `json:"added_resumed"`
 	AddedExtraAttestFlights uint64  `json:"added_extra_attest_flights"`
 
-	// The gossip-less replica must keep serving through the static pool
-	// entries the whole time.
-	LegacyRestores  int `json:"legacy_restores"`
-	LegacySucceeded int `json:"legacy_succeeded"`
-
 	MemberJoins    uint64 `json:"member_joins"`
 	MemberSuspects uint64 `json:"member_suspects"`
 	MemberDeaths   uint64 `json:"member_deaths"`
@@ -80,19 +74,18 @@ type ChurnResult struct {
 
 func (r *ChurnResult) String() string {
 	return fmt.Sprintf(
-		"churn bench: %s, %d gossip replicas + 1 standalone, %d restores (%d workers): "+
+		"churn bench: %s, %d gossip replicas, %d restores (%d workers): "+
 			"%d ok / %d typed / %d untyped failures in %.1f ms\n"+
 			"  churn: %d kills, %d restarts, %d added; pool %d → %d → %d\n"+
 			"  cold member: converged in %d gossip rounds (%.0f ms), resumed %d/%d sessions "+
 			"with %d extra attest flights\n"+
-			"  standalone: %d/%d restores ok; audits: %d joins, %d suspects, %d deaths, %d anti-entropy\n"+
+			"  audits: %d joins, %d suspects, %d deaths, %d anti-entropy\n"+
 			"  restore p50 %.0fµs  p90 %.0fµs  p99 %.0fµs",
 		r.Program, r.Replicas, r.Restores, r.Workers,
 		r.Succeeded, r.TypedFailures, r.UntypedFailures, r.WallMs,
 		r.Kills, r.Restarts, r.Added, r.PoolBeforeKill, r.PoolAfterKill, r.PoolAfterAdd,
 		r.ConvergenceRounds, r.ConvergenceMs, r.AddedResumed, r.Sessions,
 		r.AddedExtraAttestFlights,
-		r.LegacySucceeded, r.LegacyRestores,
 		r.MemberJoins, r.MemberSuspects, r.MemberDeaths, r.AntiEntropy,
 		r.RestoreLatency.P50Us, r.RestoreLatency.P90Us, r.RestoreLatency.P99Us)
 }
@@ -150,8 +143,7 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 		}
 		return []elide.ServerOption{
 			elide.WithServerAudit(fleetAudit),
-			elide.WithResumeReplication(fleetKey, seeds...),
-			elide.WithGossip(addr),
+			elide.WithFleet(fleetKey, addr, seeds...),
 			elide.WithGossipInterval(cfg.GossipInterval),
 			elide.WithSuspectTimeout(cfg.SuspectTimeout),
 		}
@@ -169,20 +161,12 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 			seed0 = replicas[0].addr
 		}
 	}
-	// The standalone replica: same enclave, no fleet key, no gossip — a
-	// replica outside the mesh that must keep working untouched.
-	legacyMetrics := obs.NewRegistry()
-	legacy := &replica{prot: prot, env: env, msrv: legacyMetrics}
-	if err := legacy.start(); err != nil {
-		return nil, err
-	}
 	addedMetrics := obs.NewRegistry()
 	added := &replica{prot: prot, env: env, msrv: addedMetrics, optsFor: gossipFor}
 	defer func() {
 		for _, r := range replicas {
 			r.kill()
 		}
-		legacy.kill()
 		added.kill()
 	}()
 
@@ -199,11 +183,10 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	runtimeMetrics := obs.NewRegistry()
 	churnMetrics := obs.NewRegistry()
 	clientOpts := failoverOptions(poolMetrics, clientMetrics)
-	addrs := make([]string, 0, cfg.Replicas+1)
+	addrs := make([]string, 0, cfg.Replicas)
 	for _, r := range replicas {
 		addrs = append(addrs, r.addr)
 	}
-	addrs = append(addrs, legacy.addr)
 	pool := elide.NewEndpointPool(addrs, clientOpts...)
 	if err := pool.SyncMembership(memberCtx); err != nil {
 		return nil, fmt.Errorf("bench: initial membership sync: %w", err)
@@ -337,17 +320,6 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	}
 	res.AddedExtraAttestFlights = addedMetrics.Counter("server.attest_ok").Load() - attestsBefore
 
-	// The standalone replica served static-pool traffic throughout; prove
-	// it still answers on its own.
-	legacyPool := elide.NewEndpointPool([]string{legacy.addr}, clientOpts...)
-	res.LegacyRestores = 4
-	for i := 0; i < res.LegacyRestores; i++ {
-		r := restoreJob(env, prot, p, legacyPool, runtimeMetrics, churnMetrics, cfg.Timeout)
-		if r.err == nil && r.wlErr == nil {
-			res.LegacySucceeded++
-		}
-	}
-
 	for _, r := range results {
 		res.add(r)
 	}
@@ -360,7 +332,7 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	res.RestoreLatency = summarize(churnMetrics.Snapshot().Histograms["chaos.restore_ns"])
 	res.Counters = map[string]uint64{}
 	addCounters(res.Counters, "", append([]*obs.Registry{poolMetrics, clientMetrics,
-		runtimeMetrics, legacyMetrics, addedMetrics}, fleetMetrics...)...)
+		runtimeMetrics, addedMetrics}, fleetMetrics...)...)
 	return res, nil
 }
 

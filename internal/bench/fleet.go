@@ -57,8 +57,8 @@ type replica struct {
 	msrv *obs.Registry
 
 	// optsFor, when set, contributes extra server options per (re)start —
-	// the churn harness wires gossip here, where the bound address that
-	// the options need is finally known.
+	// the churn and resume harnesses wire WithFleet here, where the bound
+	// address the member advertises is finally known.
 	optsFor func(addr string) []elide.ServerOption
 
 	mu     sync.Mutex

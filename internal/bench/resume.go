@@ -92,7 +92,7 @@ func ResumeBench(env *Env, cfg ResumeConfig) (*ResumeResult, error) {
 	return res, nil
 }
 
-// runResumeMode provisions replicas A and B (peered when replicate is
+// runResumeMode provisions replicas A and B (one fleet when replicate is
 // set), establishes every session on A, kills A, and replays every
 // session against B.
 func runResumeMode(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg ResumeConfig, replicate bool, counters map[string]uint64) (ResumeModeResult, error) {
@@ -102,7 +102,7 @@ func runResumeMode(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg Re
 	b := &replica{prot: prot, env: env, msrv: mB}
 	defer a.kill()
 	defer b.kill()
-	// Each replica pushes to the other, so both addresses are bound before
+	// Each replica seeds the other, so both addresses are bound before
 	// either serves.
 	if err := a.listen(); err != nil {
 		return out, err
@@ -111,14 +111,14 @@ func runResumeMode(env *Env, prot *elide.Protected, quoter *quoteFactory, cfg Re
 		return out, err
 	}
 	if replicate {
-		replicateTo := func(peer string) func(string) []elide.ServerOption {
+		seededBy := func(peer string) func(string) []elide.ServerOption {
 			// The fleet sealing key is what keeps channel keys wrapped on
 			// the replication wire; a fixed key is fine for a benchmark.
-			return func(string) []elide.ServerOption {
-				return []elide.ServerOption{elide.WithResumeReplication(bytes.Repeat([]byte{0xB7}, 32), peer)}
+			return func(self string) []elide.ServerOption {
+				return []elide.ServerOption{elide.WithFleet(bytes.Repeat([]byte{0xB7}, 32), self, peer)}
 			}
 		}
-		a.optsFor, b.optsFor = replicateTo(b.addr), replicateTo(a.addr)
+		a.optsFor, b.optsFor = seededBy(b.addr), seededBy(a.addr)
 	}
 	if err := a.start(); err != nil {
 		return out, err

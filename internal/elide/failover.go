@@ -76,11 +76,9 @@ type poolOptions struct {
 
 // EndpointPool tracks a replicated authentication-server set: which
 // endpoints exist, how healthy each looks from here, and which breaker
-// admits traffic right now. The set is no longer frozen at construction:
+// admits traffic right now. The configured addresses are seeds:
 // SyncMembership (or a WatchMembership loop) asks the fleet for its
-// current member list and grows/shrinks the pool to match, keeping the
-// statically configured addresses as a floor for servers the mesh does
-// not know about (gossip-off or key-less replicas).
+// current member list and grows/shrinks the pool to match.
 type EndpointPool struct {
 	opt   poolOptions
 	trips func() // metrics hook
@@ -88,8 +86,7 @@ type EndpointPool struct {
 	mu        sync.RWMutex
 	endpoints []*Endpoint
 	byAddr    map[string]*Endpoint
-	static    map[string]bool // configured at construction; survives absence from the fleet view
-	nextIndex int             // monotonic: a re-added endpoint gets a fresh metric index
+	nextIndex int // monotonic: a re-added endpoint gets a fresh metric index
 }
 
 // NewEndpointPool builds a pool over the given addresses.
@@ -107,7 +104,7 @@ func NewEndpointPool(addrs []string, opts ...FailoverOption) *EndpointPool {
 			return NewTCPClient(addr, o.clientOpts...)
 		}
 	}
-	p := &EndpointPool{opt: o, byAddr: make(map[string]*Endpoint), static: make(map[string]bool)}
+	p := &EndpointPool{opt: o, byAddr: make(map[string]*Endpoint)}
 	for _, a := range addrs {
 		if _, dup := p.byAddr[a]; dup {
 			continue
@@ -116,7 +113,6 @@ func NewEndpointPool(addrs []string, opts ...FailoverOption) *EndpointPool {
 		p.nextIndex++
 		p.endpoints = append(p.endpoints, e)
 		p.byAddr[a] = e
-		p.static[a] = true
 	}
 	return p
 }
@@ -265,12 +261,9 @@ func (p *EndpointPool) HealthCheck() error {
 // SyncMembership asks the fleet for its current member list — walking
 // the pool until some endpoint answers the membership query — and
 // resizes the pool to match: members the mesh reports alive or suspect
-// are (re)admitted, members it reports dead are dropped, and learned
-// (non-static) endpoints absent from the reply are dropped too. Static
-// endpoints the fleet does not know about are kept: a gossip-off or
-// key-less replica is invisible to the mesh but still serves. Returns an
-// error only when no endpoint answered — a fleet of gossip-off servers
-// simply leaves the pool static.
+// are (re)admitted, and every other endpoint, configured or learned, is
+// dropped. Returns an error only when no endpoint answered (a server
+// outside any fleet refuses the query); the pool is then left as it was.
 func (p *EndpointPool) SyncMembership(ctx context.Context) error {
 	var last error
 	for _, e := range p.Endpoints() {
@@ -306,18 +299,11 @@ func (p *EndpointPool) applyMembers(ms []Member) (added, removed []string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	inFleet := make(map[string]bool, len(ms))
-	dead := make(map[string]bool)
-	for _, m := range ms {
-		if m.Status == MemberDead {
-			dead[m.Addr] = true
-		} else {
-			inFleet[m.Addr] = true
-		}
-	}
 	for _, m := range ms {
 		if m.Status == MemberDead {
 			continue
 		}
+		inFleet[m.Addr] = true
 		if _, ok := p.byAddr[m.Addr]; !ok {
 			e := &Endpoint{Addr: m.Addr, index: p.nextIndex, health: 1}
 			p.nextIndex++
@@ -328,7 +314,7 @@ func (p *EndpointPool) applyMembers(ms []Member) (added, removed []string) {
 	}
 	var kept []*Endpoint
 	for _, e := range p.endpoints {
-		if dead[e.Addr] || (!p.static[e.Addr] && !inFleet[e.Addr]) {
+		if !inFleet[e.Addr] {
 			delete(p.byAddr, e.Addr)
 			removed = append(removed, e.Addr)
 			continue

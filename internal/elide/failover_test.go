@@ -412,7 +412,9 @@ func TestReplicaTakeoverMidProtocol(t *testing.T) {
 // server dies between Attest and REQUEST_META, the failover client lands
 // on a replica that already holds the session, and the protocol completes
 // in ONE attempt with ZERO attestation flights on the replica — no
-// ErrSessionLost, no silent downgrade to full re-attestation.
+// ErrSessionLost, no silent downgrade to full re-attestation. Both
+// members gossip once an hour, so only the push can have put the session
+// on the replica: this is the job push replication is kept for.
 func TestFailoverResumeOnPeer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("enclave protocol run in -short")
@@ -420,12 +422,13 @@ func TestFailoverResumeOnPeer(t *testing.T) {
 	ca, h := env(t)
 	p := buildApp(t, h, SanitizeOptions{})
 	l0, l1 := listen(t), listen(t)
+	addr0, addr1 := l0.Addr().String(), l1.Addr().String()
 	key := bytes.Repeat([]byte{0x33}, 32)
 	m0, m1 := obs.NewRegistry(), obs.NewRegistry()
 	srv0 := startKillableOn(t, p, ca, l0,
-		WithServerMetrics(m0), WithResumeReplication(key, l1.Addr().String()))
+		WithServerMetrics(m0), WithFleet(key, addr0, addr1), WithGossipInterval(time.Hour))
 	startKillableOn(t, p, ca, l1,
-		WithServerMetrics(m1), WithResumeReplication(key, l0.Addr().String()))
+		WithServerMetrics(m1), WithFleet(key, addr1, addr0), WithGossipInterval(time.Hour))
 
 	// Kill the attested replica only once its session has demonstrably
 	// replicated — the zero-extra-flights assertion must not race the

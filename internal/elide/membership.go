@@ -3,7 +3,6 @@ package elide
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net"
@@ -38,8 +37,8 @@ import (
 //     wrapped records it lacks — a cold-started replica converges on the
 //     fleet's session state in a bounded number of rounds instead of
 //     relying on per-miss fetches.
-//   - churn-aware clients: a client can ask any gossip-enabled server
-//     for the current member list (a members-query handshake, no fleet
+//   - churn-aware clients: a client can ask any fleet member for the
+//     current member list (a members-query handshake, no fleet
 //     key involved) and resize its failover pool to match the fleet.
 //
 // Wire security: membership deltas, ping-req targets, and digests cross
@@ -63,6 +62,10 @@ const memberWireVersion = 1
 // maxWireMembers bounds a decoded member list — a hostile frame must not
 // balloon into an unbounded allocation.
 const maxWireMembers = 4096
+
+// memberEntryHeader is the fixed part of one encoded member: status,
+// incarnation, address length.
+const memberEntryHeader = 1 + 8 + 2
 
 // antiEntropyBatch caps records transferred per digest exchange; a far-
 // behind replica converges over several rounds instead of one huge frame.
@@ -112,17 +115,16 @@ type memberState struct {
 
 // membership is the SWIM state machine: the local view of the fleet plus
 // the precedence rules that merge remote views into it. It owns no I/O —
-// the gossiper drives it.
+// the fleet drives it.
 type membership struct {
 	self    string
 	metrics *obs.Registry
 	audit   *obs.AuditLog
 
-	// onAlive/onDead feed transitions to the replicator so the push peer
-	// set tracks the mesh (assigned at construction, never changed —
-	// safe to call without mu held).
-	onAlive func(addr string)
-	onDead  func(addr string)
+	// onDead hears of every declared death, so the fleet can close that
+	// member's link (assigned at construction, never changed — safe to
+	// call without mu held).
+	onDead func(addr string)
 
 	mu      sync.Mutex
 	selfInc uint64
@@ -233,11 +235,9 @@ func (m *membership) merge(remote []Member) {
 	for _, a := range joined {
 		m.metrics.Counter("server.gossip_joins").Inc()
 		m.auditTransition(obs.AuditMemberJoin, a, 0, "learned via gossip")
-		m.notifyAlive(a)
 	}
 	for _, a := range revived {
 		m.auditTransition(obs.AuditMemberAlive, a, 0, "re-announced with a higher incarnation")
-		m.notifyAlive(a)
 	}
 	for _, a := range died {
 		m.metrics.Counter("server.gossip_deaths").Inc()
@@ -246,26 +246,21 @@ func (m *membership) merge(remote []Member) {
 	}
 }
 
-// observeAck records direct evidence that addr answered us. For gossip
-// members the reply delta (merged first) already revived them with their
-// own incarnation; this path matters for members that are reachable but
-// silent in the mesh — gossip-off or key-less replicas that refuse the
-// gossip frames.
+// observeAck records that addr answered a probe, directly or through
+// another member, reviving it if the merged deltas have not already.
 func (m *membership) observeAck(addr string) {
 	m.mu.Lock()
 	st, ok := m.members[addr]
 	transition := ok && st.status != MemberAlive
 	if transition {
-		// No one else owns a silent member's incarnation, so fabricating
-		// the bump locally is sound — and for a gossip member this branch
-		// only runs if the reply delta somehow lacked its self entry.
+		// The bump is fabricated locally; the member's own next delta
+		// carries its real incarnation and wins if higher.
 		st.inc++
 		st.status = MemberAlive
 	}
 	m.mu.Unlock()
 	if transition {
-		m.auditTransition(obs.AuditMemberAlive, addr, 0, "answered a direct probe")
-		m.notifyAlive(addr)
+		m.auditTransition(obs.AuditMemberAlive, addr, 0, "answered a probe")
 	}
 }
 
@@ -301,6 +296,19 @@ func (m *membership) sweep(now time.Time, timeout time.Duration) {
 		m.auditTransition(obs.AuditMemberDead, a, 0, "suspicion expired unrefuted")
 		m.notifyDead(a)
 	}
+}
+
+// live returns every member not declared dead.
+func (m *membership) live() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]string, 0, len(m.members))
+	for addr, st := range m.members {
+		if st.status != MemberDead {
+			out = append(out, addr)
+		}
+	}
+	return out
 }
 
 // pickProbe returns one random non-dead member to probe this round.
@@ -356,12 +364,6 @@ func (m *membership) auditTransition(typ, addr string, inc uint64, detail string
 	m.audit.Emit(ev)
 }
 
-func (m *membership) notifyAlive(addr string) {
-	if m.onAlive != nil {
-		m.onAlive(addr)
-	}
-}
-
 func (m *membership) notifyDead(addr string) {
 	if m.onDead != nil {
 		m.onDead(addr)
@@ -376,7 +378,7 @@ func (m *membership) notifyDead(addr string) {
 func marshalMembers(ms []Member) []byte {
 	n := 4
 	for _, m := range ms {
-		n += 1 + 8 + 2 + len(m.Addr)
+		n += memberEntryHeader + len(m.Addr)
 	}
 	b := make([]byte, 0, n)
 	b = append(b, memberWireVersion)
@@ -399,9 +401,11 @@ func parseMembers(b []byte) ([]Member, error) {
 		return nil, fmt.Errorf("elide: member list too large (%d)", count)
 	}
 	b = b[3:]
-	out := make([]Member, 0, count)
+	// The count is unauthenticated on the client path: size the list by
+	// the entries the bytes can hold, not by what the header claims.
+	out := make([]Member, 0, min(count, len(b)/memberEntryHeader))
 	for i := 0; i < count; i++ {
-		if len(b) < 11 {
+		if len(b) < memberEntryHeader {
 			return nil, fmt.Errorf("elide: truncated member list")
 		}
 		status := MemberStatus(b[0])
@@ -409,13 +413,16 @@ func parseMembers(b []byte) ([]Member, error) {
 			return nil, fmt.Errorf("elide: unknown member status %d", b[0])
 		}
 		inc := binary.LittleEndian.Uint64(b[1:9])
-		alen := int(binary.LittleEndian.Uint16(b[9:11]))
-		b = b[11:]
+		alen := int(binary.LittleEndian.Uint16(b[9:memberEntryHeader]))
+		b = b[memberEntryHeader:]
 		if len(b) < alen {
 			return nil, fmt.Errorf("elide: truncated member list")
 		}
 		out = append(out, Member{Addr: string(b[:alen]), Incarnation: inc, Status: status})
 		b = b[alen:]
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("elide: trailing bytes after member list")
 	}
 	return out, nil
 }
@@ -450,89 +457,49 @@ func parseDigest(b []byte) (map[[32]byte]struct{}, error) {
 	return set, nil
 }
 
-// --- gossiper: the probe/dissemination/anti-entropy loop ---
+// --- the gossip loop: probes, dissemination, anti-entropy ---
 
-// gossiper drives the membership state machine over the replication
-// links: one probe per interval, indirect probes on failure, suspect
-// sweeping, and a digest exchange with one random live member.
-type gossiper struct {
-	m        *membership
-	rep      *resumeReplicator
-	resume   *lruResumeStore
-	fleetKey []byte
-
-	interval       time.Duration
-	suspectTimeout time.Duration
-	metrics        *obs.Registry
-	audit          *obs.AuditLog
-
-	round uint64 // rounds completed; gates the periodic dead re-probe
-}
-
-func newGossiper(self string, seeds []string, rep *resumeReplicator, resume *lruResumeStore,
-	fleetKey []byte, interval, suspectTimeout time.Duration,
-	metrics *obs.Registry, audit *obs.AuditLog) *gossiper {
-	if interval <= 0 {
-		interval = DefaultGossipInterval
-	}
-	if suspectTimeout <= 0 {
-		suspectTimeout = DefaultSuspectTimeout
-	}
-	g := &gossiper{
-		m:              newMembership(self, seeds, metrics, audit),
-		rep:            rep,
-		resume:         resume,
-		fleetKey:       fleetKey,
-		interval:       interval,
-		suspectTimeout: suspectTimeout,
-		metrics:        metrics,
-		audit:          audit,
-	}
-	g.m.onAlive = rep.markAlive
-	g.m.onDead = rep.markDead
-	return g
-}
-
-// run is the gossip loop; Serve starts it and it stops with Serve's
-// context.
-func (g *gossiper) run(ctx context.Context) {
-	t := time.NewTicker(g.interval)
+// gossip is the gossip loop: one round per interval — a suspect sweep,
+// a probe, a digest exchange with one random live member — until ctx
+// ends.
+func (f *fleet) gossip(ctx context.Context) {
+	t := time.NewTicker(f.interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			g.tick()
+			f.tick()
 		}
 	}
 }
 
-func (g *gossiper) tick() {
-	g.round++
-	g.metrics.Counter("server.gossip_rounds").Inc()
-	g.m.sweep(time.Now(), g.suspectTimeout)
-	if target := g.m.pickProbe(); target != "" {
-		g.probe(target)
+func (f *fleet) tick() {
+	f.round++
+	f.metrics.Counter("server.gossip_rounds").Inc()
+	f.m.sweep(time.Now(), f.suspectTimeout)
+	if target := f.m.pickProbe(); target != "" {
+		f.probe(target)
 	}
-	if g.round%deadProbeEvery == 0 {
-		if target := g.m.pickDead(); target != "" {
-			g.probe(target)
+	if f.round%deadProbeEvery == 0 {
+		if target := f.m.pickDead(); target != "" {
+			f.probe(target)
 		}
 	}
-	if peer := g.m.pickProbe(); peer != "" {
-		g.antiEntropy(peer)
+	if peer := f.m.pickProbe(); peer != "" {
+		f.antiEntropy(peer)
 	}
 }
 
 // sealedSummary is the ping payload: the local view, sealed.
-func (g *gossiper) sealedSummary() ([]byte, error) {
-	return sealEncrypt(g.fleetKey, marshalMembers(g.m.snapshot()))
+func (f *fleet) sealedSummary() ([]byte, error) {
+	return sealEncrypt(f.fleetKey, marshalMembers(f.m.snapshot()))
 }
 
 // mergeSealed folds a sealed remote summary into the local view.
-func (g *gossiper) mergeSealed(payload []byte) error {
-	plain, err := sealDecrypt(g.fleetKey, payload)
+func (f *fleet) mergeSealed(payload []byte) error {
+	plain, err := sealDecrypt(f.fleetKey, payload)
 	if err != nil {
 		return err
 	}
@@ -541,116 +508,90 @@ func (g *gossiper) mergeSealed(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	g.m.merge(ms)
+	f.m.merge(ms)
 	return nil
 }
 
 // probe runs one SWIM probe: direct ping, then up to two indirect
-// ping-reqs, then suspicion. A refusal is an answer — the peer is alive
-// but does not speak gossip (a gossip-off or key-less replica); it stays
-// an alive member served by the static paths.
-func (g *gossiper) probe(addr string) {
-	payload, err := g.sealedSummary()
-	if err != nil {
-		g.metrics.Counter("server.gossip_errors").Inc()
-		return
-	}
-	p := g.rep.peerFor(addr)
-	resp, err := p.roundTrip(peerOpPing, payload, true, g.rep.dialTimeout, g.rep.opTimeout)
-	if err == nil {
-		if merr := g.mergeSealed(resp); merr != nil {
-			g.metrics.Counter("server.gossip_bad_delta").Inc()
-		}
-		g.m.observeAck(addr)
-		return
-	}
-	if errors.Is(err, ErrRefused) {
-		g.metrics.Counter("server.gossip_legacy").Inc()
-		g.m.observeAck(addr)
+// ping-reqs, then suspicion. A member that refuses the link or the ping
+// fails the probe like one that is down.
+func (f *fleet) probe(addr string) {
+	if f.ping(addr) {
 		return
 	}
 	// Direct probe failed: ask up to two other live members to vouch.
-	target, serr := sealEncrypt(g.fleetKey, []byte(addr))
+	target, serr := sealEncrypt(f.fleetKey, []byte(addr))
 	if serr == nil {
-		for _, h := range g.m.pickAliveExcept(addr, 2) {
-			hp := g.rep.peerFor(h)
-			if _, herr := hp.roundTrip(peerOpPingReq, target, true, g.rep.dialTimeout, g.rep.opTimeout); herr == nil {
-				g.metrics.Counter("server.gossip_indirect_acks").Inc()
-				g.m.observeAck(addr)
+		for _, h := range f.m.pickAliveExcept(addr, 2) {
+			if _, herr := f.link(h).roundTrip(peerOpPingReq, target, true); herr == nil {
+				f.metrics.Counter("server.gossip_indirect_acks").Inc()
+				f.m.observeAck(addr)
 				return
 			}
 		}
 	}
-	g.m.suspect(addr)
+	f.m.suspect(addr)
 }
 
 // servePingReq handles one incoming ping-req frame: open the sealed
-// target address and probe it on the requester's behalf. The error
+// target address and ping it on the requester's behalf. The error
 // return distinguishes a malformed frame from an unreachable target.
-func (g *gossiper) servePingReq(payload []byte) (reached bool, err error) {
-	target, err := sealDecrypt(g.fleetKey, payload)
+func (f *fleet) servePingReq(payload []byte) (reached bool, err error) {
+	target, err := sealDecrypt(f.fleetKey, payload)
 	if err != nil {
 		return false, err
 	}
 	defer sdk.Wipe(target)
-	return g.directPing(string(target)), nil
+	return f.ping(string(target)), nil
 }
 
-// directPing serves the receiving half of a ping-req: probe target on
-// the requester's behalf. Reports whether the target answered (a gossip
-// ack or an alive-but-refusing answer both count).
-func (g *gossiper) directPing(target string) bool {
-	payload, err := g.sealedSummary()
+// ping sends addr the sealed local view and merges its reply; it reports
+// whether addr answered.
+func (f *fleet) ping(addr string) bool {
+	payload, err := f.sealedSummary()
+	if err != nil {
+		f.metrics.Counter("server.gossip_errors").Inc()
+		return false
+	}
+	resp, err := f.link(addr).roundTrip(peerOpPing, payload, true)
 	if err != nil {
 		return false
 	}
-	p := g.rep.peerFor(target)
-	resp, err := p.roundTrip(peerOpPing, payload, true, g.rep.dialTimeout, g.rep.opTimeout)
-	if err == nil {
-		if merr := g.mergeSealed(resp); merr != nil {
-			g.metrics.Counter("server.gossip_bad_delta").Inc()
-		}
-		g.m.observeAck(target)
-		return true
+	if merr := f.mergeSealed(resp); merr != nil {
+		f.metrics.Counter("server.gossip_bad_delta").Inc()
 	}
-	if errors.Is(err, ErrRefused) {
-		g.m.observeAck(target)
-		return true
-	}
-	return false
+	f.m.observeAck(addr)
+	return true
 }
 
 // antiEntropy runs one digest exchange with addr: send the local binding
 // set, adopt every wrapped record the peer holds that we lack.
-func (g *gossiper) antiEntropy(addr string) {
-	sealed, err := sealEncrypt(g.fleetKey, marshalDigest(g.resume.Bindings()))
+func (f *fleet) antiEntropy(addr string) {
+	sealed, err := sealEncrypt(f.fleetKey, marshalDigest(f.resume.Bindings()))
 	if err != nil {
-		g.metrics.Counter("server.gossip_errors").Inc()
+		f.metrics.Counter("server.gossip_errors").Inc()
 		return
 	}
-	p := g.rep.peerFor(addr)
-	resp, err := p.roundTrip(peerOpDigest, sealed, true, g.rep.dialTimeout, g.rep.opTimeout)
+	resp, err := f.link(addr).roundTrip(peerOpDigest, sealed, true)
 	if err != nil {
-		// Refusals (a gossip-off or key-less peer) and link failures
-		// alike: no sync this round; the probe path owns liveness
-		// bookkeeping.
+		// No sync this round; the probe path owns liveness bookkeeping.
 		return
 	}
-	adopted, err := g.adoptRecords(resp)
+	adopted, err := f.adoptRecords(resp)
 	if err != nil {
-		g.metrics.Counter("server.anti_entropy_bad").Inc()
+		f.metrics.Counter("server.anti_entropy_bad").Inc()
 		return
 	}
 	if adopted > 0 {
-		g.metrics.Counter("server.anti_entropy_adopted").Add(uint64(adopted))
-		g.audit.Emit(obs.AuditEvent{Type: obs.AuditAntiEntropy, Endpoint: addr,
+		f.metrics.Counter("server.anti_entropy_adopted").Add(uint64(adopted))
+		f.audit.Emit(obs.AuditEvent{Type: obs.AuditAntiEntropy, Endpoint: addr,
 			Detail: fmt.Sprintf("adopted %d resume records", adopted)})
 	}
 }
 
 // adoptRecords parses a digest reply — u32 count || count × (u32 len ||
 // wrapped record) — and stores every record that authenticates.
-func (g *gossiper) adoptRecords(b []byte) (int, error) {
+func (f *fleet) adoptRecords(b []byte) (int, error) {
 	if len(b) < 4 {
 		return 0, fmt.Errorf("elide: malformed digest reply")
 	}
@@ -670,13 +611,13 @@ func (g *gossiper) adoptRecords(b []byte) (int, error) {
 		if rlen > len(b) {
 			return adopted, fmt.Errorf("elide: truncated digest reply")
 		}
-		rec, err := openResumeRecord(g.fleetKey, b[:rlen])
+		rec, err := openResumeRecord(f.fleetKey, b[:rlen])
 		b = b[rlen:]
 		if err != nil || rec.expired(now) {
-			g.metrics.Counter("server.anti_entropy_bad").Inc()
+			f.metrics.Counter("server.anti_entropy_bad").Inc()
 			continue
 		}
-		g.resume.Put(rec)
+		f.resume.Put(rec)
 		adopted++
 	}
 	return adopted, nil
@@ -685,8 +626,8 @@ func (g *gossiper) adoptRecords(b []byte) (int, error) {
 // serveDigest is the accepting half of anti-entropy: open the sealed
 // digest, reply with up to antiEntropyBatch wrapped records the sender
 // lacks.
-func (g *gossiper) serveDigest(payload []byte) ([]byte, error) {
-	plain, err := sealDecrypt(g.fleetKey, payload)
+func (f *fleet) serveDigest(payload []byte) ([]byte, error) {
+	plain, err := sealDecrypt(f.fleetKey, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -698,18 +639,18 @@ func (g *gossiper) serveDigest(payload []byte) ([]byte, error) {
 	var out []byte
 	out = binary.LittleEndian.AppendUint32(out, 0)
 	sent := 0
-	for _, binding := range g.resume.Bindings() {
+	for _, binding := range f.resume.Bindings() {
 		if sent >= antiEntropyBatch {
 			break
 		}
 		if _, have := theirs[binding]; have {
 			continue
 		}
-		rec, ok, _ := g.resume.Get(binding)
+		rec, ok, _ := f.resume.Get(binding)
 		if !ok {
 			continue // raced with eviction
 		}
-		wrapped, err := wrapResumeRecord(g.fleetKey, rec)
+		wrapped, err := wrapResumeRecord(f.fleetKey, rec)
 		if err != nil {
 			continue
 		}
@@ -719,7 +660,7 @@ func (g *gossiper) serveDigest(payload []byte) ([]byte, error) {
 	}
 	binary.LittleEndian.PutUint32(out, uint32(sent))
 	if sent > 0 {
-		g.metrics.Counter("server.anti_entropy_served").Add(uint64(sent))
+		f.metrics.Counter("server.anti_entropy_served").Add(uint64(sent))
 	}
 	return out, nil
 }
@@ -728,24 +669,24 @@ func (g *gossiper) serveDigest(payload []byte) ([]byte, error) {
 
 // handleMembersQuery answers a client's membership query with the
 // plaintext member list (self included) and ends the session. A server
-// without gossip refuses, which clients read as "pool stays static".
+// outside any fleet refuses.
 func (s *Server) handleMembersQuery(conn net.Conn) error {
 	s.armDeadline(conn)
-	if s.gsp == nil {
+	if s.fleet == nil {
 		_ = writeErrorFrame(conn, "fleet membership not enabled")
 		return nil
 	}
 	s.opt.metrics.Counter("server.membership_queries").Inc()
-	return writeResponse(conn, marshalMembers(s.gsp.m.snapshot()))
+	return writeResponse(conn, marshalMembers(s.fleet.m.snapshot()))
 }
 
-// Members returns the fleet as this server currently sees it (nil when
-// gossip is not enabled). The first entry is the server itself.
+// Members returns the fleet as this server currently sees it (nil
+// outside a fleet). The first entry is the server itself.
 func (s *Server) Members() []Member {
-	if s.gsp == nil {
+	if s.fleet == nil {
 		return nil
 	}
-	return s.gsp.m.snapshot()
+	return s.fleet.m.snapshot()
 }
 
 // ResumeLen reports how many resume records this server currently holds —
@@ -764,8 +705,7 @@ type membershipQuerier interface {
 
 // Members asks the server for its current fleet member list over a fresh
 // connection (the query is terminal: the server answers and closes). A
-// server that runs without gossip answers with a refusal (ErrRefused),
-// which callers treat as "no membership available" rather than a fault.
+// server outside any fleet answers with a refusal (ErrRefused).
 func (c *TCPClient) Members(ctx context.Context) ([]Member, error) {
 	dctx, cancel := context.WithTimeout(ctx, c.opt.dialTimeout)
 	conn, err := c.opt.dial(dctx, c.addr)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,8 +36,7 @@ func gossipOpts(key []byte, self string, m *obs.Registry, a *obs.AuditLog, seeds
 	return []ServerOption{
 		WithServerMetrics(m),
 		WithServerAudit(a),
-		WithResumeReplication(key, seeds...),
-		WithGossip(self),
+		WithFleet(key, self, seeds...),
 		WithGossipInterval(10 * time.Millisecond),
 		WithSuspectTimeout(60 * time.Millisecond),
 	}
@@ -136,9 +136,9 @@ func TestMemberWireRoundTrip(t *testing.T) {
 // incarnation arithmetic that makes false suspicion self-healing and a
 // restart able to out-bid its previous life.
 func TestMembershipMergePrecedence(t *testing.T) {
-	var alive, dead []string
-	m := newMembership("self:1", []string{"a:1"}, nil, nil)
-	m.onAlive = func(addr string) { alive = append(alive, addr) }
+	var dead []string
+	metrics := obs.NewRegistry()
+	m := newMembership("self:1", []string{"a:1"}, metrics, nil)
 	m.onDead = func(addr string) { dead = append(dead, addr) }
 
 	statusOf := func(addr string) (MemberStatus, uint64) {
@@ -200,17 +200,13 @@ func TestMembershipMergePrecedence(t *testing.T) {
 	if st, _ := statusOf("c:1"); st != MemberDead {
 		t.Fatal("dead stranger c:1 not recorded")
 	}
-	joined := false
-	for _, a := range alive {
-		if a == "b:1" {
-			joined = true
-		}
-		if a == "c:1" {
-			t.Fatal("dead stranger admitted to the alive hook")
-		}
+	if got := metrics.Counter("server.gossip_joins").Load(); got != 1 {
+		t.Fatalf("gossip_joins = %d, want 1 (b:1 only)", got)
 	}
-	if !joined {
-		t.Fatalf("join hook never fired for b:1 (alive hooks: %v)", alive)
+	for _, a := range m.live() {
+		if a == "c:1" {
+			t.Fatal("dead stranger admitted to the push set")
+		}
 	}
 	if len(dead) != 1 || dead[0] != "a:1" {
 		t.Fatalf("dead hooks = %v, want [a:1]", dead)
@@ -279,9 +275,8 @@ func TestGossipMeshBootstrap(t *testing.T) {
 }
 
 // TestMembersQueryAndPoolSync: a client learns the fleet from any one
-// server and the endpoint pool grows/shrinks to match — keeping static
-// endpoints the mesh does not know about (the legacy-server escape
-// hatch).
+// server and the endpoint pool grows/shrinks to match; a configured
+// endpoint the fleet does not list is only a seed, and is dropped.
 func TestMembersQueryAndPoolSync(t *testing.T) {
 	ca, _ := env(t)
 	key := bytes.Repeat([]byte{0x33}, 16)
@@ -310,16 +305,17 @@ func TestMembersQueryAndPoolSync(t *testing.T) {
 		t.Fatalf("member list does not lead with the answering server: %+v", ms)
 	}
 
-	// A server without gossip refuses the query — the static-pool signal.
+	// A server outside any fleet refuses the query.
 	lP := listen(t)
-	serveKill(t, plainServer(t, ca, WithResumeReplication(key)), lP)
+	serveKill(t, plainServer(t, ca), lP)
 	if _, err := NewTCPClient(lP.Addr().String(), fastRetry(1)...).Members(ctx); !errors.Is(err, ErrRefused) {
-		t.Fatalf("gossip-off server answered the membership query: %v", err)
+		t.Fatalf("server outside any fleet answered the membership query: %v", err)
 	}
 
-	// Pool: static [A, legacy]; sync adds B, keeps the legacy unknown.
-	legacyAddr := lP.Addr().String()
-	pool := NewEndpointPool([]string{addrA, legacyAddr},
+	// Pool: configured [A, outsider]; sync adds B and drops the server
+	// the fleet does not list.
+	outsideAddr := lP.Addr().String()
+	pool := NewEndpointPool([]string{addrA, outsideAddr},
 		WithEndpointClientOptions(fastRetry(1)...))
 	if err := pool.SyncMembership(ctx); err != nil {
 		t.Fatal(err)
@@ -331,12 +327,11 @@ func TestMembersQueryAndPoolSync(t *testing.T) {
 		}
 		return out
 	}
-	if got := addrs(); !got[addrB] || !got[legacyAddr] || !got[addrA] {
-		t.Fatalf("pool after sync = %v, want A+B+legacy", got)
+	if got := addrs(); !got[addrB] || got[outsideAddr] || !got[addrA] {
+		t.Fatalf("pool after sync = %v, want A+B", got)
 	}
 
-	// Kill B; once the mesh declares it dead the sync drops it — but
-	// never the static legacy endpoint.
+	// Kill B; once the mesh declares it dead the sync drops it.
 	killB()
 	waitFor(t, "B declared dead", func() bool {
 		st, _ := memberStatus(srvA.Members(), addrB)
@@ -345,24 +340,24 @@ func TestMembersQueryAndPoolSync(t *testing.T) {
 	if err := pool.SyncMembership(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := addrs(); got[addrB] || !got[legacyAddr] || !got[addrA] {
-		t.Fatalf("pool after death sync = %v, want A+legacy only", got)
+	if got := addrs(); got[addrB] || got[outsideAddr] || !got[addrA] {
+		t.Fatalf("pool after death sync = %v, want A only", got)
 	}
 }
 
 // TestPoolApplyMembersRules pins the pool resize rules in isolation.
 func TestPoolApplyMembersRules(t *testing.T) {
-	pool := NewEndpointPool([]string{"a:1", "legacy:1"})
+	pool := NewEndpointPool([]string{"a:1", "outside:1"})
 	added, removed := pool.applyMembers([]Member{
 		{Addr: "a:1", Status: MemberAlive},
 		{Addr: "b:1", Status: MemberAlive},
 		{Addr: "c:1", Status: MemberSuspect}, // suspect is still serving
 	})
-	if len(added) != 2 || len(removed) != 0 {
-		t.Fatalf("first sync: added %v removed %v, want 2 added 0 removed", added, removed)
+	// outside is configured but absent from the view: only a seed, dropped.
+	if len(added) != 2 || len(removed) != 1 || removed[0] != "outside:1" {
+		t.Fatalf("first sync: added %v removed %v, want 2 added, [outside:1] removed", added, removed)
 	}
-	// b dies, c vanishes from the view (learned → dropped), legacy is
-	// absent from every view (static → kept).
+	// b dies, c vanishes from the view; both are dropped.
 	_, removed = pool.applyMembers([]Member{
 		{Addr: "a:1", Status: MemberAlive},
 		{Addr: "b:1", Status: MemberDead},
@@ -374,18 +369,18 @@ func TestPoolApplyMembersRules(t *testing.T) {
 	for _, e := range pool.Endpoints() {
 		got[e.Addr] = true
 	}
-	if !got["a:1"] || !got["legacy:1"] || got["b:1"] || got["c:1"] {
-		t.Fatalf("pool = %v, want a+legacy", got)
+	if !got["a:1"] || got["outside:1"] || got["b:1"] || got["c:1"] {
+		t.Fatalf("pool = %v, want a only", got)
 	}
-	// Even a static endpoint is dropped while the fleet says dead — and
+	// A configured endpoint is dropped while the fleet says dead — and
 	// re-admitted when it rejoins.
 	pool.applyMembers([]Member{{Addr: "a:1", Status: MemberDead}})
 	if pool.has("a:1") {
-		t.Fatal("dead static endpoint kept")
+		t.Fatal("dead configured endpoint kept")
 	}
 	pool.applyMembers([]Member{{Addr: "a:1", Status: MemberAlive}})
 	if !pool.has("a:1") {
-		t.Fatal("rejoined static endpoint not re-admitted")
+		t.Fatal("rejoined configured endpoint not re-admitted")
 	}
 }
 
@@ -432,52 +427,140 @@ func TestAntiEntropyConvergence(t *testing.T) {
 func TestReplicationDropAuditAndHealth(t *testing.T) {
 	key := bytes.Repeat([]byte{0x66}, 16)
 	audit := obs.NewAuditLog(0)
-	unblock := make(chan struct{})
-	var unblockOnce sync.Once
-	t.Cleanup(func() { unblockOnce.Do(func() { close(unblock) }) })
 	o := serverOptions{
 		fleetKey: key,
-		peers:    []string{"127.0.0.1:1"},
 		metrics:  obs.NewRegistry(),
 		audit:    audit,
-		peerDial: func(a string, to time.Duration) (net.Conn, error) {
-			<-unblock // pin the pump so the queue backs up deterministically
-			return nil, errors.New("peer gone")
-		},
 	}
-	rep := newResumeReplicator(&o)
-	rep.dropMu.Lock()
-	rep.dropInterval = time.Hour
-	rep.dropWindow = 250 * time.Millisecond
-	rep.dropMu.Unlock()
+	// No Serve runs the pump, so the queue backs up deterministically.
+	f := newFleet(&o, newLRUResumeStore(0))
+	f.dropMu.Lock()
+	f.dropInterval = time.Hour
+	f.dropWindow = 250 * time.Millisecond
+	f.dropMu.Unlock()
 
 	rec := freshRecord(time.Minute)
-	// Queue capacity + pump in-flight + slack: guarantees drops.
+	// Queue capacity + slack: guarantees drops.
 	for i := 0; i < peerPushQueue+50; i++ {
-		rep.broadcast(rec)
+		f.broadcast(rec)
 	}
 	if got := o.metrics.Counter("server.resume_replicate_dropped").Load(); got == 0 {
-		t.Fatal("no drops counted with a pinned pump and a full queue")
+		t.Fatal("no drops counted with no pump and a full queue")
 	}
 	if got := audit.Counts()[obs.AuditResumeReplicationDropped]; got != 1 {
 		t.Fatalf("drop audit events = %d, want exactly 1 (rate-limited)", got)
 	}
-	if err := rep.healthCheck(); err == nil {
+	if err := f.healthCheck(); err == nil {
 		t.Fatal("healthCheck nil right after drops, want degraded")
 	}
 
 	// The next interval's first drop emits again.
-	rep.dropMu.Lock()
-	rep.lastDropAudit = time.Now().Add(-2 * time.Hour)
-	rep.dropMu.Unlock()
-	rep.broadcast(rec)
+	f.dropMu.Lock()
+	f.lastDropAudit = time.Now().Add(-2 * time.Hour)
+	f.dropMu.Unlock()
+	f.broadcast(rec)
 	if got := audit.Counts()[obs.AuditResumeReplicationDropped]; got != 2 {
 		t.Fatalf("drop audit events = %d after a new interval, want 2", got)
 	}
 
 	// Health recovers once the window passes without further drops.
 	waitFor(t, "replication health recovery", func() bool {
-		return rep.healthCheck() == nil
+		return f.healthCheck() == nil
 	})
-	unblockOnce.Do(func() { close(unblock) })
+}
+
+// TestKeylessSeedDeclaredDead: a seed without a fleet key refuses the
+// peer link, so it fails its probes like a member that is down: it turns
+// suspect, then dead, and leaves the push targets.
+func TestKeylessSeedDeclaredDead(t *testing.T) {
+	ca, _ := env(t)
+	key := bytes.Repeat([]byte{0x55}, 32)
+	lA, lK := listen(t), listen(t)
+	addrA, addrK := lA.Addr().String(), lK.Addr().String()
+	serveKill(t, plainServer(t, ca), lK)
+	srvA := plainServer(t, ca, gossipOpts(key, addrA, obs.NewRegistry(), nil, addrK)...)
+	serveKill(t, srvA, lA)
+
+	waitFor(t, "keyless seed declared dead", func() bool {
+		st, _ := memberStatus(srvA.Members(), addrK)
+		return st == MemberDead
+	})
+	for _, p := range srvA.fleet.targets() {
+		if p.addr == addrK {
+			t.Fatal("dead keyless seed is still a push target")
+		}
+	}
+}
+
+// countedConn counts a peer link as open until its first Close.
+type countedConn struct {
+	net.Conn
+	open *atomic.Int64
+	once sync.Once
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.open.Add(-1) })
+	return c.Conn.Close()
+}
+
+// TestFleetStopsWithServe: a member replicates only while it serves. Once
+// Serve returns every peer link is closed, and a later broadcast reaches
+// no peer.
+func TestFleetStopsWithServe(t *testing.T) {
+	ca, _ := env(t)
+	key := bytes.Repeat([]byte{0x58}, 32)
+	lA, lB := listen(t), listen(t)
+	addrA, addrB := lA.Addr().String(), lB.Addr().String()
+	var open atomic.Int64
+	countingDial := func(addr string, timeout time.Duration) (net.Conn, error) {
+		c, err := defaultPeerDial(addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		open.Add(1)
+		return &countedConn{Conn: c, open: &open}, nil
+	}
+	mB := obs.NewRegistry()
+	serveKill(t, plainServer(t, ca, gossipOpts(key, addrB, mB, nil)...), lB)
+	srvA := plainServer(t, ca, append(gossipOpts(key, addrA, obs.NewRegistry(), nil, addrB),
+		withPeerDialer(countingDial))...)
+	killA := serveKill(t, srvA, lA)
+
+	srvA.fleet.broadcast(freshRecord(time.Minute))
+	waitCounter(t, mB, "server.resume_replicated", 1)
+	killA()
+	if n := open.Load(); n != 0 {
+		t.Fatalf("%d peer links still open after Serve returned", n)
+	}
+	srvA.fleet.broadcast(freshRecord(time.Minute))
+	// An absence has no event to wait on: give a pump that outlived
+	// Serve five gossip intervals to deliver.
+	time.Sleep(50 * time.Millisecond)
+	if got := mB.Counter("server.resume_replicated").Load(); got != 1 {
+		t.Fatalf("peer received %d records, want only the one pushed while serving", got)
+	}
+	if n := open.Load(); n != 0 {
+		t.Fatalf("%d peer links opened after Serve returned", n)
+	}
+}
+
+// FuzzParseMembers: the member-list decoder, which a client runs on the
+// plaintext reply of any server it dials, never panics, allocates in
+// proportion to its input rather than to the count its header claims,
+// and accepts only what marshalMembers produces.
+func FuzzParseMembers(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ms []Member
+		var err error
+		if got := heapBytes(func() { ms, err = parseMembers(data) }); got > decodeOverhead+8*uint64(len(data)) {
+			t.Fatalf("decoding %d input bytes allocated %d bytes", len(data), got)
+		}
+		if err != nil {
+			return
+		}
+		if out := marshalMembers(ms); !bytes.Equal(out, data) {
+			t.Fatalf("re-marshaled %x, parsed %x", out, data)
+		}
+	})
 }

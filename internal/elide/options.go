@@ -161,30 +161,24 @@ func WithResumeTTL(d time.Duration) ServerOption {
 	return func(o *serverOptions) { o.resumeTTL = d }
 }
 
-// WithResumeReplication joins this server to a resume-replication fleet
-// (DESIGN §14): fleetKey is the shared AES sealing key (16/24/32 bytes)
-// under which records cross the wire, peers are the replica addresses to
-// push fresh channels to and fetch from on a replayed-handshake miss.
-// With a fleetKey but no peers the server only *accepts* replication
-// links (a valid asymmetric deployment); peers without a valid fleetKey
-// is a construction error — channel keys never travel unwrapped.
-func WithResumeReplication(fleetKey []byte, peers ...string) ServerOption {
+// WithFleet makes this server a fleet member (DESIGN §14–15). fleetKey is
+// the shared AES sealing key (16/24/32 bytes) under which resume records
+// and membership cross the wire, so a node outside the fleet can neither
+// read a channel key, forge a death certificate, nor enumerate the mesh.
+// self is the address this server advertises — the one the other members
+// dial back, not the listen wildcard. seeds are members to join through;
+// one live seed is enough to learn the whole fleet. A member runs
+// SWIM-style failure detection and anti-entropy over its peer links,
+// pushes every fresh channel to each member not declared dead, and
+// fetches from them on a replayed-handshake miss. An invalid key or an
+// empty self is a construction error.
+func WithFleet(fleetKey []byte, self string, seeds ...string) ServerOption {
 	return func(o *serverOptions) {
+		o.fleet = true
 		o.fleetKey = append([]byte(nil), fleetKey...)
-		o.peers = append([]string(nil), peers...)
+		o.self = self
+		o.seeds = append([]string(nil), seeds...)
 	}
-}
-
-// WithGossip enables SWIM-style fleet membership (DESIGN §15). self is the
-// address this server advertises to the mesh — it must be the address
-// peers can dial back, not the listen wildcard. Requires the fleet key
-// from WithResumeReplication: membership deltas cross the wire sealed
-// under it, so a node outside the fleet can neither forge a death
-// certificate nor enumerate the mesh. The static peers given to
-// WithResumeReplication double as gossip seeds; one live seed is enough
-// to bootstrap the full member set.
-func WithGossip(self string) ServerOption {
-	return func(o *serverOptions) { o.gossipSelf = self }
 }
 
 // WithGossipInterval sets the membership probe/gossip round cadence
@@ -203,9 +197,8 @@ func WithSuspectTimeout(d time.Duration) ServerOption {
 	return func(o *serverOptions) { o.suspectTimeout = d }
 }
 
-// withPeerDialer replaces the replication/gossip peer dialer — an
-// in-package test seam for partition tests that gate which peers can
-// reach which.
+// withPeerDialer replaces the fleet's peer dialer — an in-package test
+// seam for tests that gate which peers can reach which or count links.
 func withPeerDialer(dial func(addr string, timeout time.Duration) (net.Conn, error)) ServerOption {
 	return func(o *serverOptions) { o.peerDial = dial }
 }

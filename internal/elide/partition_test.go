@@ -43,8 +43,7 @@ func TestPartitionHealConvergence(t *testing.T) {
 		return []ServerOption{
 			WithDrainTimeout(50 * time.Millisecond),
 			WithServerMetrics(m), WithServerAudit(a),
-			WithResumeReplication(key, peer),
-			WithGossip(self),
+			WithFleet(key, self, peer),
 			WithGossipInterval(10 * time.Millisecond),
 			WithSuspectTimeout(60 * time.Millisecond),
 			withPeerDialer(gatedDial),

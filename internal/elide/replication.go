@@ -2,6 +2,7 @@ package elide
 
 import (
 	"bufio"
+	"context"
 	"crypto/subtle"
 	"errors"
 	"fmt"
@@ -13,35 +14,33 @@ import (
 	"sgxelide/internal/obs"
 )
 
-// Replicated session resumption (DESIGN §14): each server pushes its
-// freshly established channels to its fleet peers, and on a resume miss
-// for a *replayed* handshake it synchronously asks the peers, so a client
+// Replicated session resumption (DESIGN §14): each fleet member pushes
+// its freshly established channels to the other members, and on a resume
+// miss for a *replayed* handshake it synchronously asks them, so a client
 // failing over mid-protocol lands on a replica that already holds (or can
 // fetch) its channel — zero extra attestation flights instead of a full
 // re-attest.
 //
 // The peer link rides the existing framed transport: the dialing server
-// opens it with a peer-link handshake (handshake.go). An accepting server
-// that has a fleet key acks with its protocol version and then serves
-// replication frames; one without a fleet key refuses, which the dialer
-// treats as a link error like a dead peer:
+// opens it with a peer-link handshake (handshake.go). A fleet member acks
+// with its protocol version and then serves replication frames; a server
+// outside any fleet refuses, which the dialer treats as a link error like
+// a dead peer:
 //
 //	push:  op(1)=peerOpPush  || wrapped record      (no reply)
 //	fetch: op(1)=peerOpFetch || binding(32)         (reply: wrapped record, or a refusal on miss)
 //
 // plus the gossip/anti-entropy opcodes (peerOpPing, peerOpPingReq,
-// peerOpDigest — see membership.go). A gossip-off server answers those
-// with a refusal and the link survives, so it keeps replicating.
+// peerOpDigest — see membership.go).
 //
 // Records cross the wire ONLY as wrapResumeRecord blobs — AES-GCM under
 // the shared fleet sealing key — so the transport carries no cleartext
 // channel keys, forged frames fail authentication, and replay is bounded
 // by the in-record expiry.
 //
-// The peer set is no longer frozen at construction: the gossip layer
-// (membership.go) adds members it discovers and retires members declared
-// dead, so pushes track the live fleet. The statically configured peers
-// remain as seeds either way.
+// Pushes and fetches go to every member the gossip layer (membership.go)
+// has not declared dead, so they track the live fleet; the configured
+// addresses are only seeds.
 
 // Replication-link frame opcodes (3+ are in membership.go).
 const (
@@ -105,15 +104,15 @@ func (p *resumePeer) close() {
 }
 
 // ensureLocked dials the peer and runs the replication handshake.
-func (p *resumePeer) ensureLocked(dialTimeout, opTimeout time.Duration) error {
+func (p *resumePeer) ensureLocked() error {
 	if p.conn != nil {
 		return nil
 	}
-	conn, err := p.dial(p.addr, dialTimeout)
+	conn, err := p.dial(p.addr, DefaultDialTimeout)
 	if err != nil {
 		return err
 	}
-	_ = conn.SetDeadline(time.Now().Add(opTimeout))
+	_ = conn.SetDeadline(time.Now().Add(DefaultPeerOpTimeout))
 	if err := writeHandshake(conn, &attestMsg{Kind: kindPeerLink}); err != nil {
 		_ = conn.Close()
 		return err
@@ -134,17 +133,17 @@ func (p *resumePeer) ensureLocked(dialTimeout, opTimeout time.Duration) error {
 
 // roundTrip sends one frame (reading the reply when want is set),
 // redialing once on a stale connection. A refusal reply is an answer
-// (fetch miss, gossip op on a gossip-off peer), not a link failure, and
-// does not burn the connection.
-func (p *resumePeer) roundTrip(op byte, payload []byte, want bool, dialTimeout, opTimeout time.Duration) ([]byte, error) {
+// (a fetch miss, say), not a link failure, and does not burn the
+// connection.
+func (p *resumePeer) roundTrip(op byte, payload []byte, want bool) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var last error
 	for attempt := 0; attempt < 2; attempt++ {
-		if err := p.ensureLocked(dialTimeout, opTimeout); err != nil {
+		if err := p.ensureLocked(); err != nil {
 			return nil, err
 		}
-		_ = p.conn.SetDeadline(time.Now().Add(opTimeout))
+		_ = p.conn.SetDeadline(time.Now().Add(DefaultPeerOpTimeout))
 		err := writePeerFrame(p.conn, op, payload)
 		if err == nil {
 			if !want {
@@ -165,25 +164,27 @@ func (p *resumePeer) roundTrip(op byte, payload []byte, want bool, dialTimeout, 
 	return nil, last
 }
 
-// resumeReplicator is the dialer side of the replication layer: an async
-// push pump broadcasting fresh channels to every live peer, and a
-// synchronous peer fetch for resume misses. The peer set is dynamic —
-// the gossip layer adds discovered members and retires dead ones; the
-// statically configured addresses are the seeds.
-type resumeReplicator struct {
-	fleetKey    []byte
-	metrics     *obs.Registry
-	audit       *obs.AuditLog
-	dialTimeout time.Duration
-	opTimeout   time.Duration
-	dial        peerDialFunc
+// fleet is a server's membership in its fleet (DESIGN §14–15): the SWIM
+// state machine, one lazily dialed link per member, an async push pump
+// broadcasting fresh channels to every member not declared dead, a
+// synchronous peer fetch for resume misses, and the gossip loop
+// (membership.go) that probes members and runs anti-entropy.
+type fleet struct {
+	m        *membership
+	resume   *lruResumeStore
+	fleetKey []byte
+	metrics  *obs.Registry
+	audit    *obs.AuditLog
+	dial     peerDialFunc
+
+	interval       time.Duration
+	suspectTimeout time.Duration
+	round          uint64 // rounds completed; gates the periodic dead re-probe
 
 	mu    sync.Mutex
-	peers map[string]*resumePeer
-	dead  map[string]bool
+	links map[string]*resumePeer
 
 	queue chan ResumeRecord
-	once  sync.Once
 
 	// Push-drop bookkeeping: sustained drops mean fresh channels are not
 	// reaching the fleet, so the first drop per interval is audited and
@@ -196,107 +197,112 @@ type resumeReplicator struct {
 	dropWindow    time.Duration // health degradation window (test seam)
 }
 
-func newResumeReplicator(o *serverOptions) *resumeReplicator {
-	r := &resumeReplicator{
-		fleetKey:     o.fleetKey,
-		metrics:      o.metrics,
-		audit:        o.audit,
-		dialTimeout:  DefaultDialTimeout,
-		opTimeout:    DefaultPeerOpTimeout,
-		dial:         o.peerDial,
-		peers:        make(map[string]*resumePeer),
-		dead:         make(map[string]bool),
-		queue:        make(chan ResumeRecord, peerPushQueue),
-		dropInterval: dropAuditInterval,
-		dropWindow:   dropHealthWindow,
+func newFleet(o *serverOptions, resume *lruResumeStore) *fleet {
+	f := &fleet{
+		m:              newMembership(o.self, o.seeds, o.metrics, o.audit),
+		resume:         resume,
+		fleetKey:       o.fleetKey,
+		metrics:        o.metrics,
+		audit:          o.audit,
+		dial:           o.peerDial,
+		interval:       o.gossipInterval,
+		suspectTimeout: o.suspectTimeout,
+		links:          make(map[string]*resumePeer),
+		queue:          make(chan ResumeRecord, peerPushQueue),
+		dropInterval:   dropAuditInterval,
+		dropWindow:     dropHealthWindow,
 	}
-	if r.dial == nil {
-		r.dial = defaultPeerDial
+	if f.dial == nil {
+		f.dial = defaultPeerDial
 	}
-	for _, a := range o.peers {
-		if a != "" && a != o.gossipSelf {
-			r.peerFor(a)
-		}
+	if f.interval <= 0 {
+		f.interval = DefaultGossipInterval
 	}
-	return r
+	if f.suspectTimeout <= 0 {
+		f.suspectTimeout = DefaultSuspectTimeout
+	}
+	// A declared death tears the member's link down; the entry stays for
+	// the dead-member re-probe to redial.
+	f.m.onDead = func(addr string) { f.link(addr).close() }
+	return f
 }
 
-// peerFor returns the link for addr, creating it on first use (the
-// gossip layer calls this for discovered members).
-func (r *resumeReplicator) peerFor(addr string) *resumePeer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.peers[addr]
+// link returns the link to addr, creating it on first use.
+func (f *fleet) link(addr string) *resumePeer {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	p, ok := f.links[addr]
 	if !ok {
-		p = &resumePeer{addr: addr, dial: r.dial}
-		r.peers[addr] = p
+		p = &resumePeer{addr: addr, dial: f.dial}
+		f.links[addr] = p
 	}
 	return p
 }
 
-// activePeers snapshots the links not currently declared dead.
-func (r *resumeReplicator) activePeers() []*resumePeer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*resumePeer, 0, len(r.peers))
-	for addr, p := range r.peers {
-		if !r.dead[addr] {
-			out = append(out, p)
-		}
+// targets returns the links to every member the mesh has not declared
+// dead: the push and fetch set.
+func (f *fleet) targets() []*resumePeer {
+	addrs := f.m.live()
+	out := make([]*resumePeer, len(addrs))
+	for i, a := range addrs {
+		out[i] = f.link(a)
 	}
 	return out
 }
 
-// markDead retires a peer the mesh declared dead: pushes and fetches
-// skip it and its link is torn down. The entry itself stays — markAlive
-// revives it when the member rejoins.
-func (r *resumeReplicator) markDead(addr string) {
-	r.mu.Lock()
-	r.dead[addr] = true
-	p := r.peers[addr]
-	r.mu.Unlock()
-	if p != nil {
-		p.close()
+// start runs the push pump and the gossip loop (membership.go) until the
+// returned stop, which waits for both and then closes every link.
+func (f *fleet) start(ctx context.Context) (stop func()) {
+	ctx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		f.pump(ctx)
+	}()
+	go func() {
+		defer wg.Done()
+		f.gossip(ctx)
+	}()
+	return func() {
+		cancel()
+		wg.Wait()
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		for _, p := range f.links {
+			p.close()
+		}
 	}
 }
 
-// markAlive (re)admits a peer: newly discovered members enter the push
-// set here, and a dead member that refuted or rejoined comes back.
-func (r *resumeReplicator) markAlive(addr string) {
-	r.mu.Lock()
-	delete(r.dead, addr)
-	r.mu.Unlock()
-	r.peerFor(addr)
-}
-
-// broadcast enqueues one record for async push to every peer. The attest
-// path must never block on a slow peer, so a full queue drops (counted,
-// audited at most once per interval, surfaced via ReplicationHealth).
-func (r *resumeReplicator) broadcast(rec ResumeRecord) {
-	r.once.Do(func() { go r.pump() })
+// broadcast enqueues one record for async push to every member. The
+// attest path must never block on a slow peer, so a full queue drops
+// (counted, audited at most once per interval, surfaced via
+// ReplicationHealth).
+func (f *fleet) broadcast(rec ResumeRecord) {
 	select {
-	case r.queue <- rec:
+	case f.queue <- rec:
 	default:
-		r.metrics.Counter("server.resume_replicate_dropped").Inc()
-		r.noteDrop()
+		f.metrics.Counter("server.resume_replicate_dropped").Inc()
+		f.noteDrop()
 	}
 }
 
 // noteDrop records a push-queue overflow and emits the rate-limited
 // audit event.
-func (r *resumeReplicator) noteDrop() {
+func (f *fleet) noteDrop() {
 	now := time.Now()
-	r.dropMu.Lock()
-	r.drops++
-	drops := r.drops
-	r.lastDrop = now
-	emit := now.Sub(r.lastDropAudit) >= r.dropInterval
+	f.dropMu.Lock()
+	f.drops++
+	drops := f.drops
+	f.lastDrop = now
+	emit := now.Sub(f.lastDropAudit) >= f.dropInterval
 	if emit {
-		r.lastDropAudit = now
+		f.lastDropAudit = now
 	}
-	r.dropMu.Unlock()
+	f.dropMu.Unlock()
 	if emit {
-		r.audit.Emit(obs.AuditEvent{
+		f.audit.Emit(obs.AuditEvent{
 			Type:   obs.AuditResumeReplicationDropped,
 			Detail: fmt.Sprintf("push queue full; %d records dropped since start", drops),
 		})
@@ -305,58 +311,64 @@ func (r *resumeReplicator) noteDrop() {
 
 // healthCheck reports degraded while drops occurred within the health
 // window — wired into /healthz as the "replication" check.
-func (r *resumeReplicator) healthCheck() error {
-	r.dropMu.Lock()
-	defer r.dropMu.Unlock()
-	if !r.lastDrop.IsZero() {
-		if age := time.Since(r.lastDrop); age < r.dropWindow {
+func (f *fleet) healthCheck() error {
+	f.dropMu.Lock()
+	defer f.dropMu.Unlock()
+	if !f.lastDrop.IsZero() {
+		if age := time.Since(f.lastDrop); age < f.dropWindow {
 			return fmt.Errorf("resume replication dropped %d records (last %s ago)",
-				r.drops, age.Round(time.Millisecond))
+				f.drops, age.Round(time.Millisecond))
 		}
 	}
 	return nil
 }
 
-// pump drains the push queue for the life of the process. The pump (not
-// the attest path) pays for wrapping and for slow peers; link errors are
-// counted and the record is simply not replicated — the client's
-// fallback is the peer fetch, and behind that a full re-attest.
-func (r *resumeReplicator) pump() {
-	for rec := range r.queue {
-		wrapped, err := wrapResumeRecord(r.fleetKey, rec)
+// pump drains the push queue until ctx ends. The pump (not the attest
+// path) pays for wrapping and for slow peers; link errors are counted and
+// the record is simply not replicated — the client's fallback is the
+// peer fetch, and behind that a full re-attest.
+func (f *fleet) pump(ctx context.Context) {
+	for {
+		var rec ResumeRecord
+		select {
+		case <-ctx.Done():
+			return
+		case rec = <-f.queue:
+		}
+		wrapped, err := wrapResumeRecord(f.fleetKey, rec)
 		if err != nil {
-			r.metrics.Counter("server.resume_replicate_errors").Inc()
+			f.metrics.Counter("server.resume_replicate_errors").Inc()
 			continue
 		}
-		for _, p := range r.activePeers() {
-			if _, err := p.roundTrip(peerOpPush, wrapped, false, r.dialTimeout, r.opTimeout); err != nil {
-				r.metrics.Counter("server.resume_replicate_errors").Inc()
+		for _, p := range f.targets() {
+			if _, err := p.roundTrip(peerOpPush, wrapped, false); err != nil {
+				f.metrics.Counter("server.resume_replicate_errors").Inc()
 				continue
 			}
-			r.metrics.Counter("server.resume_replicate_sent").Inc()
+			f.metrics.Counter("server.resume_replicate_sent").Inc()
 		}
 	}
 }
 
-// fetch synchronously asks the peers for a binding's record (first hit
+// fetch synchronously asks the members for a binding's record (first hit
 // wins), used on a resume miss for a replayed handshake — the one case
 // where a fresh key would break a mid-protocol enclave.
-func (r *resumeReplicator) fetch(binding [32]byte) (ResumeRecord, bool) {
-	r.metrics.Counter("server.resume_fetch").Inc()
-	for _, p := range r.activePeers() {
-		resp, err := p.roundTrip(peerOpFetch, binding[:], true, r.dialTimeout, r.opTimeout)
+func (f *fleet) fetch(binding [32]byte) (ResumeRecord, bool) {
+	f.metrics.Counter("server.resume_fetch").Inc()
+	for _, p := range f.targets() {
+		resp, err := p.roundTrip(peerOpFetch, binding[:], true)
 		if err != nil {
 			continue
 		}
-		rec, err := openResumeRecord(r.fleetKey, resp)
+		rec, err := openResumeRecord(f.fleetKey, resp)
 		if err != nil || subtle.ConstantTimeCompare(rec.Binding[:], binding[:]) != 1 || rec.expired(time.Now()) {
-			r.metrics.Counter("server.resume_fetch_bad").Inc()
+			f.metrics.Counter("server.resume_fetch_bad").Inc()
 			continue
 		}
-		r.metrics.Counter("server.resume_fetch_hit").Inc()
+		f.metrics.Counter("server.resume_fetch_hit").Inc()
 		return rec, true
 	}
-	r.metrics.Counter("server.resume_fetch_miss").Inc()
+	f.metrics.Counter("server.resume_fetch_miss").Inc()
 	return ResumeRecord{}, false
 }
 
@@ -364,10 +376,11 @@ func (r *resumeReplicator) fetch(binding [32]byte) (ResumeRecord, bool) {
 
 // handlePeerConn serves one replication link: ack the handshake, then a
 // loop of push/fetch/gossip frames until the peer hangs up. Reached from
-// handleConn for a peer-link handshake; a server without a fleet key
+// handleConn for a peer-link handshake; a server outside any fleet
 // refuses.
 func (s *Server) handlePeerConn(conn net.Conn, br *bufio.Reader) error {
-	if len(s.opt.fleetKey) == 0 {
+	f := s.fleet
+	if f == nil {
 		s.armDeadline(conn)
 		_ = writeErrorFrame(conn, "resume replication not enabled")
 		return fmt.Errorf("elide server: replication link without a fleet key")
@@ -394,7 +407,7 @@ func (s *Server) handlePeerConn(conn net.Conn, br *bufio.Reader) error {
 		op, payload := frame[0], frame[1:]
 		switch op {
 		case peerOpPush:
-			rec, err := openResumeRecord(s.opt.fleetKey, payload)
+			rec, err := openResumeRecord(f.fleetKey, payload)
 			if err != nil || rec.expired(time.Now()) {
 				s.opt.metrics.Counter("server.resume_replicate_bad").Inc()
 				continue
@@ -423,7 +436,7 @@ func (s *Server) handlePeerConn(conn net.Conn, br *bufio.Reader) error {
 				}
 				continue
 			}
-			wrapped, err := wrapResumeRecord(s.opt.fleetKey, rec)
+			wrapped, err := wrapResumeRecord(f.fleetKey, rec)
 			if err != nil {
 				if werr := writeErrorFrame(conn, "wrap failed"); werr != nil {
 					return werr
@@ -435,13 +448,7 @@ func (s *Server) handlePeerConn(conn net.Conn, br *bufio.Reader) error {
 				return werr
 			}
 		case peerOpPing:
-			if s.gsp == nil {
-				if werr := writeErrorFrame(conn, "gossip not enabled"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			if err := s.gsp.mergeSealed(payload); err != nil {
+			if err := f.mergeSealed(payload); err != nil {
 				s.opt.metrics.Counter("server.gossip_bad_delta").Inc()
 				if werr := writeErrorFrame(conn, "bad gossip delta"); werr != nil {
 					return werr
@@ -449,7 +456,7 @@ func (s *Server) handlePeerConn(conn net.Conn, br *bufio.Reader) error {
 				continue
 			}
 			s.opt.metrics.Counter("server.gossip_pings").Inc()
-			reply, err := s.gsp.sealedSummary()
+			reply, err := f.sealedSummary()
 			if err != nil {
 				if werr := writeErrorFrame(conn, "seal failed"); werr != nil {
 					return werr
@@ -460,16 +467,10 @@ func (s *Server) handlePeerConn(conn net.Conn, br *bufio.Reader) error {
 				return werr
 			}
 		case peerOpPingReq:
-			if s.gsp == nil {
-				if werr := writeErrorFrame(conn, "gossip not enabled"); werr != nil {
-					return werr
-				}
-				continue
-			}
 			// The indirect probe dials the target synchronously; the link's
 			// deadline is re-armed after, so a slow target costs this one
 			// frame, not the link.
-			ok, err := s.gsp.servePingReq(payload)
+			ok, err := f.servePingReq(payload)
 			s.armPeerDeadline(conn)
 			if err != nil {
 				s.opt.metrics.Counter("server.gossip_bad_delta").Inc()
@@ -488,13 +489,7 @@ func (s *Server) handlePeerConn(conn net.Conn, br *bufio.Reader) error {
 				return werr
 			}
 		case peerOpDigest:
-			if s.gsp == nil {
-				if werr := writeErrorFrame(conn, "gossip not enabled"); werr != nil {
-					return werr
-				}
-				continue
-			}
-			reply, err := s.gsp.serveDigest(payload)
+			reply, err := f.serveDigest(payload)
 			if err != nil {
 				s.opt.metrics.Counter("server.anti_entropy_bad").Inc()
 				if werr := writeErrorFrame(conn, "bad digest"); werr != nil {

@@ -51,17 +51,18 @@ func TestResumeReplicationPush(t *testing.T) {
 	ca, h := env(t)
 	p := buildApp(t, h, SanitizeOptions{})
 	l0, l1 := listen(t), listen(t)
+	addr0, addr1 := l0.Addr().String(), l1.Addr().String()
 	key := bytes.Repeat([]byte{0x5A}, 32)
 	m0, m1 := obs.NewRegistry(), obs.NewRegistry()
 
 	srv0, err := p.NewServerFor(ca, WithDrainTimeout(50*time.Millisecond),
-		WithServerMetrics(m0), WithResumeReplication(key, l1.Addr().String()))
+		WithServerMetrics(m0), WithFleet(key, addr0, addr1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// srv1 carries the fleet key but dials no one: accept-only.
+	// srv1 is the first member: it has no seeds.
 	srv1, err := p.NewServerFor(ca, WithDrainTimeout(50*time.Millisecond),
-		WithServerMetrics(m1), WithResumeReplication(key))
+		WithServerMetrics(m1), WithFleet(key, addr1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,8 @@ func TestResumeReplicationPush(t *testing.T) {
 }
 
 // TestResumeFetchFallback: when the push never reached the replica (here:
-// the origin dials no peers), a replayed handshake triggers a synchronous
+// the origin has no seeds and, with an hour-long gossip interval, never
+// learns of the replica), a replayed handshake triggers a synchronous
 // peer fetch and still resumes with zero extra attestation flights.
 func TestResumeFetchFallback(t *testing.T) {
 	if testing.Short() {
@@ -103,17 +105,19 @@ func TestResumeFetchFallback(t *testing.T) {
 	ca, h := env(t)
 	p := buildApp(t, h, SanitizeOptions{})
 	l0, l1 := listen(t), listen(t)
+	addr0, addr1 := l0.Addr().String(), l1.Addr().String()
 	key := bytes.Repeat([]byte{0x6C}, 16)
 	m0, m1 := obs.NewRegistry(), obs.NewRegistry()
 
-	// srv0 holds the session but pushes nowhere; srv1 can only fetch.
+	// srv0 holds the session but pushes nowhere; srv1 can neither
+	// introduce itself nor run anti-entropy, so it can only fetch.
 	srv0, err := p.NewServerFor(ca, WithDrainTimeout(50*time.Millisecond),
-		WithServerMetrics(m0), WithResumeReplication(key))
+		WithServerMetrics(m0), WithFleet(key, addr0), WithGossipInterval(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv1, err := p.NewServerFor(ca, WithDrainTimeout(50*time.Millisecond),
-		WithServerMetrics(m1), WithResumeReplication(key, l0.Addr().String()))
+		WithServerMetrics(m1), WithFleet(key, addr1, addr0), WithGossipInterval(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +159,11 @@ func TestResumeFetchFallback(t *testing.T) {
 	}
 }
 
-// TestResumeLegacyPeerUnaffected: pointing replication at a server that
-// does not speak it (no fleet key, so it refuses the peer-link
-// handshake) must not disturb that server's client traffic; the dialer
-// counts the refusal as a replication error and moves on.
+// TestResumeLegacyPeerUnaffected: seeding a fleet member with a server
+// that has no fleet key (so it refuses the peer-link handshake) must not
+// disturb that server's client traffic; the dialer counts the refusal as
+// a replication error and moves on. The member's hour-long gossip
+// interval keeps the seed a push target: no probe retires it first.
 func TestResumeLegacyPeerUnaffected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("enclave quote generation in -short")
@@ -175,7 +180,8 @@ func TestResumeLegacyPeerUnaffected(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv1, err := p.NewServerFor(ca, WithDrainTimeout(50*time.Millisecond),
-		WithServerMetrics(m1), WithResumeReplication(key, l0.Addr().String()))
+		WithServerMetrics(m1), WithFleet(key, l1.Addr().String(), l0.Addr().String()),
+		WithGossipInterval(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,8 @@ func (r ResumeRecord) expired(now time.Time) bool {
 // lruResumeStore is the session-resumption cache behind the server,
 // sized by WithResumeCacheSize: a true LRU (both a hit and a re-store
 // refresh recency, so a hot resumed session cannot be evicted before
-// cold ones) with lazy per-entry expiry. Replicated deployments layer
-// WithResumeReplication on top of it. Safe for concurrent use.
+// cold ones) with lazy per-entry expiry. A fleet (WithFleet) replicates
+// its records. Safe for concurrent use.
 type lruResumeStore struct {
 	mu      sync.Mutex
 	cap     int

@@ -129,9 +129,9 @@ func TestWrapResumeRecord(t *testing.T) {
 	}
 }
 
-// TestFleetKeyValidation: a server configured with peers must hold a valid
-// fleet sealing key — replication without wrapping is a construction
-// error, not a runtime downgrade.
+// TestFleetKeyValidation: a fleet member must hold a valid fleet sealing
+// key and advertise an address — replication without wrapping is a
+// construction error, not a runtime downgrade.
 func TestFleetKeyValidation(t *testing.T) {
 	for _, n := range []int{16, 24, 32} {
 		if err := validFleetKey(make([]byte, n)); err != nil {
@@ -144,14 +144,17 @@ func TestFleetKeyValidation(t *testing.T) {
 		}
 	}
 	meta, data := testMeta("s")
-	_, err := NewServer(ServerConfig{
+	cfg := ServerConfig{
 		CAPub:             mustCAPub(t),
 		ExpectedMrEnclave: testMr(1),
 		Meta:              meta,
 		SecretPlain:       data,
-	}, WithResumeReplication(nil, "127.0.0.1:9"))
-	if err == nil {
-		t.Fatal("peers without a fleet key must fail construction")
+	}
+	if _, err := NewServer(cfg, WithFleet(nil, "127.0.0.1:8", "127.0.0.1:9")); err == nil {
+		t.Fatal("a fleet without a key must fail construction")
+	}
+	if _, err := NewServer(cfg, WithFleet(make([]byte, 32), "", "127.0.0.1:9")); err == nil {
+		t.Fatal("a fleet member without an advertised address must fail construction")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sgxelide/internal/obs"
@@ -50,14 +51,15 @@ type serverOptions struct {
 	attestBurst int
 	maxInflight int // per-enclave concurrent channel requests (0 = off)
 	resumeTTL   time.Duration
-	fleetKey    []byte   // shared fleet sealing key (enables replication)
-	peers       []string // replication peers / gossip seeds
 	metrics     *obs.Registry
 	tracer      *obs.Tracer
 	audit       *obs.AuditLog
 
-	// Fleet membership (DESIGN §15).
-	gossipSelf     string        // advertised address; non-empty enables gossip
+	// Fleet membership (DESIGN §14–15), set by WithFleet.
+	fleet          bool
+	fleetKey       []byte        // shared fleet sealing key
+	self           string        // address advertised to the other members
+	seeds          []string      // members to join through
 	gossipInterval time.Duration // probe/gossip round cadence
 	suspectTimeout time.Duration // suspicion → dead deadline
 	peerDial       peerDialFunc  // test seam; nil = net.DialTimeout
@@ -83,16 +85,14 @@ type Server struct {
 	// quote-bound client ephemeral key lets the server hand back the same
 	// channel key, so the enclave's derived key stays valid (the moral
 	// equivalent of TLS session resumption). The cache is an in-process
-	// LRU with lazy TTL expiry (resume.go). rep, when non-nil, replicates
-	// records to fleet peers and fetches on resume misses (replication.go).
+	// LRU with lazy TTL expiry (resume.go).
 	resume *lruResumeStore
-	rep    *resumeReplicator
 
-	// gsp, when non-nil, is the SWIM membership layer (membership.go);
-	// its probe loop starts with the first Serve and stops with that
-	// Serve's context.
-	gsp        *gossiper
-	gossipOnce sync.Once
+	// fleet, when non-nil, replicates records to the other fleet members,
+	// fetches from them on resume misses, and gossips membership
+	// (replication.go, membership.go). It runs for the first Serve only.
+	fleet        *fleet
+	fleetStarted atomic.Bool
 
 	// Per-enclave QoS state (token bucket + in-flight count), lazily
 	// created per measurement when rate or in-flight limits are set.
@@ -135,12 +135,12 @@ func NewMultiServer(caPub *ecdsa.PublicKey, store *SecretStore, opts ...ServerOp
 		// an unset burst one second's worth of rate (at least 1).
 		o.attestBurst = int(o.attestRate + 1)
 	}
-	if len(o.fleetKey) > 0 || len(o.peers) > 0 || o.gossipSelf != "" {
+	if o.fleet {
 		if err := validFleetKey(o.fleetKey); err != nil {
-			if o.gossipSelf != "" && len(o.fleetKey) == 0 {
-				return nil, fmt.Errorf("elide: WithGossip requires the fleet key from WithResumeReplication")
-			}
 			return nil, err
+		}
+		if o.self == "" {
+			return nil, fmt.Errorf("elide: WithFleet needs the address this server advertises")
 		}
 	}
 	s := &Server{
@@ -150,12 +150,8 @@ func NewMultiServer(caPub *ecdsa.PublicKey, store *SecretStore, opts ...ServerOp
 		resume: newLRUResumeStore(o.resumeCap),
 		qos:    make(map[[32]byte]*qosState),
 	}
-	if len(o.peers) > 0 || o.gossipSelf != "" {
-		s.rep = newResumeReplicator(&o)
-	}
-	if o.gossipSelf != "" {
-		s.gsp = newGossiper(o.gossipSelf, o.peers, s.rep, s.resume,
-			o.fleetKey, o.gossipInterval, o.suspectTimeout, o.metrics, o.audit)
+	if o.fleet {
+		s.fleet = newFleet(&o, s.resume)
 	}
 	return s, nil
 }
@@ -268,8 +264,8 @@ func (ss *Session) Attest(q *sgx.Quote, clientPub []byte) (pub []byte, err error
 	// fresh key breaks a mid-protocol enclave — worth a synchronous peer
 	// fetch. Like a local hit, a fetched resume stays exempt from the
 	// attest rate limit (it happens before admitAttest).
-	if ss.replay && s.rep != nil {
-		if rec, ok := s.rep.fetch(binding); ok &&
+	if ss.replay && s.fleet != nil {
+		if rec, ok := s.fleet.fetch(binding); ok &&
 			subtle.ConstantTimeCompare(rec.MrEnclave[:], q.MrEnclave[:]) == 1 {
 			ss.channelKey = rec.ChannelKey
 			s.resume.Put(rec) // adopt: later reconnects hit locally
@@ -305,8 +301,8 @@ func (ss *Session) Attest(q *sgx.Quote, clientPub []byte) (pub []byte, err error
 		return nil, err
 	}
 	ss.channelKey = key
-	if rec, cached := s.resumePut(binding, pub, key, q.MrEnclave); cached && s.rep != nil {
-		s.rep.broadcast(rec)
+	if rec, cached := s.resumePut(binding, pub, key, q.MrEnclave); cached && s.fleet != nil {
+		s.fleet.broadcast(rec)
 	}
 	s.opt.metrics.Counter("server.attest_ok").Inc()
 	s.opt.metrics.Counter("server.attest_ok.mr_" + entry.Label()).Inc()
@@ -357,13 +353,13 @@ func (s *Server) resumePut(binding [32]byte, pub, channelKey []byte, mr [32]byte
 func (s *Server) resumeLen() int { return s.resume.Len() }
 
 // ReplicationHealth reports degraded while resume-replication pushes are
-// being dropped (nil when replication is off or healthy) — wire it into
-// the admin handler as a /healthz check.
+// being dropped (nil outside a fleet or when healthy) — wire it into the
+// admin handler as a /healthz check.
 func (s *Server) ReplicationHealth() error {
-	if s.rep == nil {
+	if s.fleet == nil {
 		return nil
 	}
-	return s.rep.healthCheck()
+	return s.fleet.healthCheck()
 }
 
 // Request answers one encrypted request on the attested channel, serving
@@ -563,10 +559,12 @@ func (c *DirectClient) Close() error {
 // their current exchange (up to WithDrainTimeout), then returns
 // ErrServerClosed.
 func (s *Server) Serve(ctx context.Context, l net.Listener) error {
-	// The gossip loop lives exactly as long as the first Serve: fleet
-	// probing makes no sense before the server can answer probes back.
-	if s.gsp != nil {
-		s.gossipOnce.Do(func() { go s.gsp.run(ctx) })
+	// The fleet runs for the first Serve: probing makes no sense before
+	// the server can answer probes back. It stops, closing every peer
+	// link, once Serve has drained its sessions.
+	if s.fleet != nil && s.fleetStarted.CompareAndSwap(false, true) {
+		stop := s.fleet.start(ctx)
+		defer stop()
 	}
 	// Unblock Accept when the context ends.
 	stop := make(chan struct{})
