@@ -126,6 +126,23 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("wrong ecall result:\n%s", out)
 	}
 
+	// The one client path: -connect takes a fleet, and the restore walks
+	// past an endpoint that refuses connections to the live one.
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadAddr := dead.Addr().String()
+	dead.Close()
+	out = runCmd(tool("elide-run"), "-dir", "build", "-edl", "app.edl", "-ca", "ca.pem",
+		"-connect", deadAddr+","+addr, "-ecall", "ecall_compute", "-arg", "42")
+	if !strings.Contains(out, "restored via the authentication server") {
+		t.Fatalf("restore past a dead endpoint missing:\n%s", out)
+	}
+	if !strings.Contains(out, "= 56253") {
+		t.Fatalf("wrong ecall result after walking past a dead endpoint:\n%s", out)
+	}
+
 	// A bare program through evmcc + evm-run for good measure.
 	hello := "int putchar(int c);\nint main(void) { putchar('o'); putchar('k'); return 0; }\n"
 	if err := os.WriteFile(filepath.Join(dir, "hello.c"), []byte(hello), 0o644); err != nil {

@@ -17,14 +17,16 @@
 // The -ca file pins the machine's attestation root across invocations so
 // the server started from the emitted files trusts this machine's quotes.
 //
-// For availability, run several elide-server replicas from the same emitted
-// directory and hand the whole fleet to -servers; the runtime circuit-breaks
-// dead endpoints, re-attests on failover, and retries whole protocol runs:
+// -connect takes one address or a comma-separated fleet: either way the
+// runtime dials through a failover pool. For availability, run several
+// elide-server replicas from the same emitted directory and hand -connect
+// all of them; the runtime circuit-breaks dead endpoints, re-attests on
+// failover, and reruns a protocol run whose session was lost:
 //
 //	elide-server -dir serverfiles -listen 127.0.0.1:7788 &
 //	elide-server -dir serverfiles -listen 127.0.0.1:7789 &
 //	elide-run -dir build -edl app.edl -ca machine_ca.pem \
-//	          -servers 127.0.0.1:7788,127.0.0.1:7789 -ecall ecall_compute -arg 42
+//	          -connect 127.0.0.1:7788,127.0.0.1:7789 -ecall ecall_compute -arg 42
 package main
 
 import (
@@ -50,15 +52,13 @@ func main() {
 		dir         = flag.String("dir", "build", "directory with sanitized.so, enclave.sigstruct, enclave.secret.*")
 		edlPath     = flag.String("edl", "", "the application EDL file")
 		caPath      = flag.String("ca", "machine_ca.pem", "machine attestation root (created if missing)")
-		connect     = flag.String("connect", "", "authentication server address (empty = in-process server)")
-		servers     = flag.String("servers", "", "comma-separated replicated server addresses (failover pool; overrides -connect)")
-		restoreTrys = flag.Int("restore-retries", 3, "full protocol runs before the resilient restore gives up (with -servers)")
+		connect     = flag.String("connect", "", "comma-separated authentication server addresses, dialed as a failover pool (empty = in-process server)")
 		emitServer  = flag.String("emit-server", "", "write the server-side files to this directory and exit")
 		ecallName   = flag.String("ecall", "", "ecall to invoke after restoring")
 		flags       = flag.Uint64("flags", 0, "elide_restore flags (1 = try sealed, 2 = seal after)")
 		dialTimeout = flag.Duration("dial-timeout", elide.DefaultDialTimeout, "server connection timeout")
 		reqTimeout  = flag.Duration("request-timeout", elide.DefaultRequestTimeout, "per-request timeout on the server channel")
-		retries     = flag.Int("retries", elide.DefaultRetryBudget, "transient-failure retries before giving up")
+		retries     = flag.Int("retries", elide.DefaultRetryBudget, "passes over the servers after the first before giving up")
 		timeout     = flag.Duration("timeout", 0, "overall deadline for the restore (0 = none)")
 		traceJSON   = flag.String("trace-json", "", "write the launch trace (one JSON span per line) to this file")
 		metricsJSON = flag.String("metrics-json", "", "write the final metrics snapshot to this file")
@@ -128,37 +128,29 @@ func main() {
 		defer cancel()
 	}
 
-	clientOpts := []elide.ClientOption{
-		elide.WithDialTimeout(*dialTimeout),
-		elide.WithRequestTimeout(*reqTimeout),
-		elide.WithRetryBudget(*retries),
-		elide.WithClientMetrics(metrics),
-		elide.WithClientTracer(tracer),
-	}
 	var client elide.SecretChannel
 	var direct *elide.DirectClient
-	if *servers != "" {
+	if *connect != "" {
 		tracer.SetService("client")
-		addrs := strings.Split(*servers, ",")
+		addrs := strings.Split(*connect, ",")
 		for i := range addrs {
 			addrs[i] = strings.TrimSpace(addrs[i])
 		}
 		fc, err := elide.NewFailoverClient(addrs,
 			elide.WithFailoverMetrics(metrics),
 			elide.WithFailoverAudit(audit),
-			elide.WithEndpointClientOptions(clientOpts...),
+			elide.WithEndpointClientOptions(
+				elide.WithDialTimeout(*dialTimeout),
+				elide.WithRequestTimeout(*reqTimeout),
+				elide.WithRetryBudget(*retries),
+				elide.WithClientMetrics(metrics),
+				elide.WithClientTracer(tracer),
+			),
 		)
 		check(err)
 		defer fc.Close()
 		client = fc
-		fmt.Printf("elide-run: failover pool of %d authentication servers (restore-retries=%d)\n",
-			len(addrs), *restoreTrys)
-	} else if *connect != "" {
-		tracer.SetService("client")
-		tc := elide.NewTCPClient(*connect, clientOpts...)
-		defer tc.Close()
-		client = tc
-		fmt.Printf("elide-run: authentication server at %s (retries=%d)\n", *connect, *retries)
+		fmt.Printf("elide-run: authentication servers %s (retries=%d)\n", *connect, *retries)
 	} else {
 		cfg := elide.ServerConfig{
 			CAPub:             ca.PublicKey(),
@@ -191,17 +183,9 @@ func main() {
 	check(err)
 	fmt.Printf("elide-run: enclave initialized, MRENCLAVE %x...\n", encl.Encl.MrEnclave[:8])
 
-	// Every mode runs through the resilient driver so each protocol run has
-	// a trace ID the flight recorder can dump; only -servers retries whole
-	// protocol runs (the transport's own retry budget covers the rest).
-	attempts := 1
-	if *servers != "" {
-		attempts = *restoreTrys
-	}
-	out, err := elide.RestoreResilient(ctx, encl, rt, elide.RestoreOptions{
-		Flags:       *flags,
-		MaxAttempts: attempts,
-	})
+	// Every mode runs through the resilient driver, so each protocol run has
+	// a trace ID the flight recorder can dump and a lost session is rerun.
+	out, err := elide.RestoreResilient(ctx, encl, rt, *flags)
 	code := out.Code
 	source := out.Source
 	for _, ev := range out.Events {

@@ -21,7 +21,7 @@
 // Replication is share-nothing for secrets: for availability, start several
 // daemons on the same serverfiles (or secrets) directory under different
 // -listen addresses — possibly on different hosts, each with its own copy
-// of the files — and give clients the whole fleet via elide-run -servers.
+// of the files — and give clients the whole fleet via elide-run -connect.
 // Every replica can answer any restore independently. Session state is
 // per-replica by default (after a failover the client pays a full
 // re-attest). With a shared -fleet-key and -gossip-advertise the replicas

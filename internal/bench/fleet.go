@@ -156,9 +156,10 @@ func (r *replica) kill() {
 }
 
 // failoverOptions is the endpoint-pool configuration of every fleet
-// scenario: a short breaker cooldown, one retry with a short backoff, and
-// deadlines generous enough for an oversubscribed box. extra rides along
-// to every endpoint's client (chaos adds its fault dialer).
+// scenario: a short breaker cooldown, a retry budget of 1 with a short
+// backoff — two passes over the pool, each trying every admitted endpoint
+// once — and deadlines generous enough for an oversubscribed box. extra
+// rides along to every endpoint's client (chaos adds its fault dialer).
 func failoverOptions(poolMetrics, clientMetrics *obs.Registry, extra ...elide.ClientOption) []elide.FailoverOption {
 	clientOpts := append([]elide.ClientOption{
 		elide.WithClientMetrics(clientMetrics),
@@ -237,10 +238,7 @@ func restoreJob(
 		return res
 	}
 	defer encl.Destroy()
-	res.outcome, res.err = elide.RestoreResilient(ctx, encl, rt, elide.RestoreOptions{
-		MaxAttempts: 4,
-		Backoff:     25 * time.Millisecond,
-	})
+	res.outcome, res.err = elide.RestoreResilient(ctx, encl, rt, 0)
 	if res.err == nil {
 		res.wlErr = p.Workload(host, encl)
 	}

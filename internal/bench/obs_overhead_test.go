@@ -11,7 +11,7 @@ import (
 // cold restore: "bare" runs with no tracer and no audit log (every obs
 // call no-ops through the nil receivers), "observed" runs with a client
 // tracer, a server tracer joined to the same trace, and a shared audit
-// log — the elide-run -servers + -admin-addr production configuration.
+// log — the elide-run -connect + -admin-addr production configuration.
 // Both run tracedLaunch on a fresh machine, so they differ only in
 // whether a tracer and audit log are attached. EXPERIMENTS.md quotes the
 // delta; the budget is <2% on p50.

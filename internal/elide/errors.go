@@ -46,12 +46,13 @@ var (
 	// secret data remotely and degraded to the encrypted local file.
 	ErrRemoteDataUnavailable = errors.New("elide: remote data unavailable, degraded to local file")
 
-	// ErrSessionLost: a failover switched endpoints mid-protocol and the
-	// replacement server established a *different* channel key, so the
-	// enclave's in-flight session cannot continue. Retryable at the
-	// restore level (a fresh elide_restore re-attests from scratch), but
-	// terminal for the current protocol run.
-	ErrSessionLost = errors.New("elide: attested session lost on endpoint failover")
+	// ErrSessionLost: the server answering a session resume — a replica
+	// after a failover, or the same server after it lost its session
+	// cache — established a *different* channel key, so the enclave's
+	// in-flight session cannot continue. Retryable at the restore level (a
+	// fresh elide_restore re-attests from scratch), but terminal for the
+	// current protocol run.
+	ErrSessionLost = errors.New("elide: attested session lost: the resuming server holds a different key")
 
 	// ErrRestoreFailed: a resilient restore exhausted its strategy chain.
 	// Always carried by a *RestoreFailure with the enclave code and the
@@ -108,7 +109,7 @@ func (e *OverloadedError) Error() string {
 func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded }
 
 // unavailableError wraps the last transient failure once the retry budget
-// is spent, matching ErrServerUnavailable.
+// is spent, matching ErrServerUnavailable. Only the retry policy builds it.
 type unavailableError struct {
 	attempts int
 	last     error
@@ -138,7 +139,8 @@ func (e *PhaseError) Unwrap() error { return e.Err }
 
 // isTransient reports whether an error is worth a reconnect-and-retry:
 // connection-level failures, timeouts, and torn frames — but never a
-// server refusal, a protocol-state error, or a cancelled context.
+// server refusal, a protocol-state error, a lost session, or a cancelled
+// context.
 func isTransient(err error) bool {
 	if err == nil {
 		return false
@@ -146,10 +148,16 @@ func isTransient(err error) bool {
 	if errors.Is(err, ErrRefused) || errors.Is(err, ErrNotAttested) || errors.Is(err, ErrFrameTooLarge) {
 		return false
 	}
+	// A lost session is over for this protocol run: retrying the request
+	// on any endpoint sends it under a key the server does not hold. Only
+	// a fresh run, which re-attests, recovers (RestoreResilient).
+	if errors.Is(err, ErrSessionLost) {
+		return false
+	}
 	// Overload is not transient in the reconnect sense: the server answered,
 	// and hammering it again immediately is exactly what it asked us not to
-	// do. The retry and failover layers special-case it (honoring the
-	// retry-after hint, trying another replica) before consulting this.
+	// do. The retry policy and the pool's pass special-case it (waiting out
+	// the retry-after hint, trying another replica) before consulting this.
 	if errors.Is(err, ErrOverloaded) {
 		return false
 	}

@@ -70,17 +70,22 @@ func TestOverloadedErrorAsThroughLayers(t *testing.T) {
 	}
 }
 
-// TestTransientClassification pins the retry-layer contract for the new
-// sentinel: an overload is NOT transient (blind immediate retry would
-// worsen the overload) but IS retryable at the restore-run level, where
-// backoff between attempts honors the server's pacing.
+// TestTransientClassification pins the retry-layer contract: an overload
+// is NOT transient (blind immediate retry would worsen the overload) and
+// is not rerun at the restore level either, because the channel's retry
+// policy has already waited out the server's hints; a lost session is not
+// transient, because retrying the request on a replica sends it under a
+// key that replica does not hold.
 func TestTransientClassification(t *testing.T) {
 	oe := &OverloadedError{RetryAfter: time.Millisecond}
 	if isTransient(oe) {
 		t.Error("overload classified transient; the transport would hot-retry a shedding server")
 	}
-	if !restoreRetryable(RestoreErrBase, []error{&PhaseError{Phase: "attest", Err: oe}}) {
-		t.Error("overloaded protocol run classified non-retryable; RestoreResilient would give up")
+	if restoreRetryable(RestoreErrBase, []error{&PhaseError{Phase: "attest", Err: oe}}) {
+		t.Error("overloaded protocol run classified retryable; RestoreResilient would rerun what the channel already waited out")
+	}
+	if isTransient(ErrSessionLost) {
+		t.Error("lost session classified transient; the pool would retry the request under a stale key")
 	}
 	// The pre-existing classifications must not have moved.
 	if restoreRetryable(RestoreErrBase, []error{&PhaseError{Phase: "attest", Err: &RefusedError{Msg: "no"}}}) {

@@ -72,6 +72,7 @@ type poolOptions struct {
 	clientOpts    []ClientOption
 	newClient     func(addr string) SecretChannel
 	now           func() time.Time
+	retry         retryPolicy // read from clientOpts; one attempt is one pass
 }
 
 // EndpointPool tracks a replicated authentication-server set: which
@@ -99,9 +100,12 @@ func NewEndpointPool(addrs []string, opts ...FailoverOption) *EndpointPool {
 	for _, fn := range opts {
 		fn(&o)
 	}
+	co := newClientOptions(o.clientOpts)
+	o.retry = co.retry
 	if o.newClient == nil {
+		co.retry.budget = 0 // the pool's passes are the retries
 		o.newClient = func(addr string) SecretChannel {
-			return NewTCPClient(addr, o.clientOpts...)
+			return &TCPClient{addr: addr, opt: co}
 		}
 	}
 	p := &EndpointPool{opt: o, byAddr: make(map[string]*Endpoint)}
@@ -242,6 +246,34 @@ func (p *EndpointPool) record(e *Endpoint, ok bool, dur time.Duration) {
 // count bumps a pool metric (nil-registry safe).
 func (p *EndpointPool) count(name string) { p.opt.metrics.Counter(name).Inc() }
 
+// settle records one endpoint try of a pass and reports whether it ends
+// the pass: a success or a final answer does; a transient failure or an
+// overload answer moves the pass on to the next endpoint. An endpoint that
+// answered — even to refuse or to shed — is healthy for breaker purposes.
+func (p *EndpointPool) settle(e *Endpoint, err error, start time.Time) bool {
+	transient, shed := isTransient(err), errors.Is(err, ErrOverloaded)
+	p.record(e, !transient, time.Since(start))
+	if shed {
+		p.count("failover.overloaded") // alive but shedding: a replica may have quota to spare
+	}
+	return !transient && !shed
+}
+
+// exhausted is the error of a pass that got no answer: the last endpoint's
+// failure, or, when the breakers admitted no endpoint at all, an error
+// naming them. Either is transient, so a spent budget reports it wrapped
+// in ErrServerUnavailable.
+func (p *EndpointPool) exhausted(last error) error {
+	if errors.Is(last, ErrOverloaded) {
+		return last
+	}
+	p.count("failover.exhausted")
+	if last == nil {
+		return fmt.Errorf("elide: no endpoint admitted: %v", p.HealthCheck())
+	}
+	return last
+}
+
 // HealthCheck reports the pool degraded while any endpoint's breaker is
 // not admitting normal traffic — the /healthz readiness source for a
 // process fronting a replicated server fleet.
@@ -351,14 +383,16 @@ func (p *EndpointPool) WatchMembership(ctx context.Context, interval time.Durati
 }
 
 // FailoverClient exposes the SecretChannel surface over an EndpointPool
-// of replicated authentication servers. Attest tries endpoints in health
-// order until one accepts; Request runs on the endpoint that attested
-// and, when that endpoint dies mid-protocol, re-attests to a replica —
-// sessions are per-server, so the replayed handshake either resumes the
-// same channel (same server public key: carry on transparently) or lands
-// on a different key, in which case the in-flight protocol run cannot
-// continue and Request returns ErrSessionLost for the restore-level
-// chain to retry from scratch.
+// of replicated authentication servers, and runs the retry policy over
+// passes of the pool: one attempt tries each admitted endpoint once, so a
+// dead endpoint costs one dial per pass, and none once its breaker opens.
+// Attest tries endpoints in health order until one accepts; Request runs
+// on the endpoint that attested and, when that endpoint dies mid-protocol,
+// re-attests to a replica — sessions are per-server, so the replayed
+// handshake either resumes the same channel (same server public key:
+// carry on transparently) or lands on a different key, in which case the
+// in-flight protocol run cannot continue and Request returns
+// ErrSessionLost for the restore-level chain to retry from scratch.
 //
 // A FailoverClient is safe for concurrent use, though the restore
 // protocol itself is sequential.
@@ -446,192 +480,152 @@ func (fc *FailoverClient) clientFor(e *Endpoint) SecretChannel {
 	return c
 }
 
-// Attest implements SecretChannel: the handshake is tried against endpoints in
-// health order until one succeeds or every admitted endpoint has failed.
-// A refusal (the server answered and said no) is terminal — a replica
-// will refuse the same quote for the same reason.
+// Attest implements SecretChannel under the pool's retry policy: each
+// attempt tries every admitted endpoint once, in health order, until one
+// accepts. A refusal (the server answered and said no) is terminal — a
+// replica will refuse the same quote for the same reason.
 func (fc *FailoverClient) Attest(ctx context.Context, q *sgx.Quote, clientPub []byte) ([]byte, error) {
+	return fc.pool.opt.retry.run(ctx, nil, fc.pool.opt.metrics, "failover.attest", func(ctx context.Context) ([]byte, error) {
+		return fc.attestPass(ctx, q, clientPub)
+	})
+}
+
+// attestPass is one attempt of Attest: one try per admitted endpoint.
+func (fc *FailoverClient) attestPass(ctx context.Context, q *sgx.Quote, clientPub []byte) ([]byte, error) {
 	span := obs.SpanFromContext(ctx)
 	tried := make(map[*Endpoint]bool)
 	var last error
-	for {
+	for e := fc.pool.pick(tried); e != nil; e = fc.pool.pick(tried) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
-		}
-		e := fc.pool.pick(tried)
-		if e == nil {
-			break
 		}
 		tried[e] = true
 		esp := span.Child("endpoint")
 		esp.SetStr("addr", e.Addr)
 		start := time.Now()
 		pub, err := fc.clientFor(e).Attest(ctx, q, clientPub)
-		if err == nil {
-			fc.pool.record(e, true, time.Since(start))
-			esp.End()
-			fc.mu.Lock()
-			// An attest that had to walk past dead endpoints, or that landed
-			// somewhere other than the session's previous home, is a switch.
-			if len(tried) > 1 || (fc.cur != nil && fc.cur != e) {
-				fc.pool.count("failover.switches")
-				fc.pool.opt.audit.Emit(obs.AuditEvent{
-					Type: obs.AuditFailoverSwitch, Endpoint: e.Addr,
-					TraceID: span.TraceID(), Detail: "attest walked the pool",
-				})
-			}
-			fc.cur = e
-			fc.handshake = &attestMsg{Quote: q, ClientPub: append([]byte(nil), clientPub...)}
-			fc.serverPub = append([]byte(nil), pub...)
-			fc.mu.Unlock()
-			return pub, nil
-		}
 		esp.SetError(err)
 		esp.End()
-		if errors.Is(err, ErrOverloaded) {
-			// The endpoint is alive but shedding this enclave's attests:
-			// healthy for breaker purposes, and a replica may have quota
-			// to spare — keep walking the pool.
-			fc.pool.record(e, true, time.Since(start))
-			fc.pool.count("failover.overloaded")
+		if !fc.pool.settle(e, err, start) {
 			last = err
 			continue
 		}
-		if !isTransient(err) {
-			// The endpoint is alive and answered: healthy for breaker
-			// purposes, but its answer is final.
-			fc.pool.record(e, true, time.Since(start))
+		if err != nil {
 			return nil, err
 		}
-		fc.pool.record(e, false, time.Since(start))
-		last = err
+		fc.mu.Lock()
+		// An attest that had to walk past dead endpoints, or that landed
+		// somewhere other than the session's previous home, is a switch.
+		if len(tried) > 1 || (fc.cur != nil && fc.cur != e) {
+			fc.pool.count("failover.switches")
+			fc.pool.opt.audit.Emit(obs.AuditEvent{
+				Type: obs.AuditFailoverSwitch, Endpoint: e.Addr,
+				TraceID: span.TraceID(), Detail: "attest walked the pool",
+			})
+		}
+		fc.cur = e
+		fc.handshake = &attestMsg{Quote: q, ClientPub: append([]byte(nil), clientPub...)}
+		fc.serverPub = append([]byte(nil), pub...)
+		fc.mu.Unlock()
+		return pub, nil
 	}
-	if errors.Is(last, ErrOverloaded) {
-		// Every admitted replica shed the attest: surface the typed
-		// overload (with its retry-after hint), not unavailability — the
-		// fleet is up, it just wants us later.
-		return nil, last
-	}
-	fc.pool.count("failover.exhausted")
-	return nil, &unavailableError{attempts: len(tried), last: last}
+	return nil, fc.pool.exhausted(last)
 }
 
-// Request implements SecretChannel: one encrypted round trip on the endpoint
-// that attested. When that endpoint fails, the client fails over — it
-// re-attests the stored handshake to the next healthy replica and
-// compares the returned server key against the one the enclave's channel
-// key is bound to. Same key: the session resumed, the request is retried
-// there. Different key: the protocol run is unrecoverable mid-flight and
+// Request implements SecretChannel: one encrypted round trip, under the
+// pool's retry policy. Each attempt first tries the endpoint that holds
+// the session, while its breaker is closed; that client pipelines a
+// session resume on a fresh connection. Then the request fails over: the
+// stored handshake is re-attested on the next admitted replica and the
+// returned server key compared against the one the enclave's channel key
+// is bound to. Same key: the session resumed, the request runs there.
+// Different key: the protocol run is unrecoverable mid-flight and
 // ErrSessionLost is returned.
 func (fc *FailoverClient) Request(ctx context.Context, enc []byte) ([]byte, error) {
+	return fc.pool.opt.retry.run(ctx, nil, fc.pool.opt.metrics, "failover.request", func(ctx context.Context) ([]byte, error) {
+		return fc.requestPass(ctx, enc)
+	})
+}
+
+// requestPass is one attempt of Request.
+func (fc *FailoverClient) requestPass(ctx context.Context, enc []byte) ([]byte, error) {
 	fc.mu.Lock()
 	cur, handshake, boundPub := fc.cur, fc.handshake, fc.serverPub
 	fc.mu.Unlock()
-	if cur == nil || handshake == nil {
+	if cur == nil {
 		return nil, ErrNotAttested
 	}
 	span := obs.SpanFromContext(ctx)
-
-	start := time.Now()
-	out, err := fc.clientFor(cur).Request(ctx, enc)
-	if err == nil {
-		fc.pool.record(cur, true, time.Since(start))
-		return out, nil
-	}
-	if !isTransient(err) {
-		fc.pool.record(cur, true, time.Since(start))
-		return nil, err
-	}
-	fc.pool.record(cur, false, time.Since(start))
-
-	// The attested endpoint is gone mid-protocol: fail over. Sessions are
-	// per-server, so each candidate replica must re-attest first.
 	tried := map[*Endpoint]bool{cur: true}
-	var last error = err
-	for {
+	var last error
+	if cur.State() == BreakerClosed {
+		start := time.Now()
+		out, err := fc.clientFor(cur).Request(ctx, enc)
+		if fc.pool.settle(cur, err, start) {
+			return out, err
+		}
+		last = err
+	}
+	// Sessions are per-server, so each candidate replica must re-attest
+	// first.
+	for e := fc.pool.pick(tried); e != nil; e = fc.pool.pick(tried) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
-		}
-		e := fc.pool.pick(tried)
-		if e == nil {
-			break
 		}
 		tried[e] = true
 		esp := span.Child("failover")
 		esp.SetStr("addr", e.Addr)
-		astart := time.Now()
-		c := fc.clientFor(e)
-		var pub []byte
-		var aerr error
-		if r, ok := c.(sessionResumer); ok {
-			pub, aerr = r.ResumeAttest(ctx, handshake.Quote, handshake.ClientPub)
-		} else {
-			pub, aerr = c.Attest(ctx, handshake.Quote, handshake.ClientPub)
-		}
-		if aerr != nil {
-			esp.SetError(aerr)
-			esp.End()
-			if errors.Is(aerr, ErrOverloaded) {
-				// Alive but shedding: healthy endpoint, try the next one.
-				fc.pool.record(e, true, time.Since(astart))
-				fc.pool.count("failover.overloaded")
-				last = aerr
-				continue
-			}
-			if !isTransient(aerr) {
-				fc.pool.record(e, true, time.Since(astart))
-				return nil, aerr
-			}
-			fc.pool.record(e, false, time.Since(astart))
-			last = aerr
-			continue
-		}
-		fc.pool.count("failover.switches")
-		fc.pool.opt.audit.Emit(obs.AuditEvent{
-			Type: obs.AuditFailoverSwitch, Endpoint: e.Addr,
-			TraceID: span.TraceID(), Detail: "mid-protocol re-attest",
-		})
-		fc.mu.Lock()
-		fc.cur = e
-		fc.serverPub = append([]byte(nil), pub...)
-		fc.mu.Unlock()
-		if !bytes.Equal(pub, boundPub) {
-			// The replica established a *different* channel: the enclave's
-			// key is bound to the dead server's key and cannot decrypt
-			// anything this replica sends. The in-flight protocol run is
-			// over; a fresh elide_restore will attest here directly.
-			esp.SetStr("outcome", "session_lost")
-			esp.End()
-			fc.pool.record(e, true, time.Since(astart))
-			fc.pool.count("failover.session_lost")
-			fc.pool.opt.audit.Emit(obs.AuditEvent{
-				Type: obs.AuditSessionLost, Endpoint: e.Addr,
-				TraceID: span.TraceID(), Detail: "replica holds a different server identity",
-			})
-			return nil, ErrSessionLost
-		}
-		// Same server key (a replicated or persistent resume cache): the
-		// channel survived the switch — finish the request here.
-		fc.pool.count("failover.session_resumed")
-		out, rerr := c.Request(ctx, enc)
-		if rerr == nil {
-			esp.SetStr("outcome", "resumed")
-			esp.End()
-			fc.pool.record(e, true, time.Since(astart))
-			return out, nil
-		}
-		esp.SetError(rerr)
+		start := time.Now()
+		out, err := fc.resumeOn(ctx, e, handshake, boundPub, enc, esp)
+		esp.SetError(err)
 		esp.End()
-		if !isTransient(rerr) {
-			fc.pool.record(e, true, time.Since(astart))
-			return nil, rerr
+		if fc.pool.settle(e, err, start) {
+			return out, err
 		}
-		fc.pool.record(e, false, time.Since(astart))
-		last = rerr
+		last = err
 	}
-	if errors.Is(last, ErrOverloaded) {
-		return nil, last
+	return nil, fc.pool.exhausted(last)
+}
+
+// resumeOn re-attests the session's handshake on e and, when e answers
+// with the key the enclave's channel is bound to, sends the request there.
+func (fc *FailoverClient) resumeOn(ctx context.Context, e *Endpoint, handshake *attestMsg, boundPub, enc []byte, esp *obs.Span) ([]byte, error) {
+	c := fc.clientFor(e)
+	var pub []byte
+	var err error
+	if r, ok := c.(sessionResumer); ok {
+		pub, err = r.ResumeAttest(ctx, handshake.Quote, handshake.ClientPub)
+	} else {
+		pub, err = c.Attest(ctx, handshake.Quote, handshake.ClientPub)
 	}
-	fc.pool.count("failover.exhausted")
-	return nil, &unavailableError{attempts: len(tried), last: last}
+	if err != nil {
+		return nil, err
+	}
+	fc.pool.count("failover.switches")
+	fc.pool.opt.audit.Emit(obs.AuditEvent{
+		Type: obs.AuditFailoverSwitch, Endpoint: e.Addr,
+		TraceID: esp.TraceID(), Detail: "mid-protocol re-attest",
+	})
+	fc.mu.Lock()
+	fc.cur = e
+	fc.serverPub = append([]byte(nil), pub...)
+	fc.mu.Unlock()
+	if !bytes.Equal(pub, boundPub) {
+		// The replica established a *different* channel: the enclave's
+		// key is bound to the dead server's key and cannot decrypt
+		// anything this replica sends. The in-flight protocol run is
+		// over; a fresh elide_restore will attest here directly.
+		esp.SetStr("outcome", "session_lost")
+		fc.pool.count("failover.session_lost")
+		fc.pool.opt.audit.Emit(obs.AuditEvent{
+			Type: obs.AuditSessionLost, Endpoint: e.Addr,
+			TraceID: esp.TraceID(), Detail: "replica holds a different server identity",
+		})
+		return nil, ErrSessionLost
+	}
+	// Same server key (a replicated or persistent resume cache): the
+	// channel survived the switch — finish the request here.
+	esp.SetStr("outcome", "resumed")
+	fc.pool.count("failover.session_resumed")
+	return c.Request(ctx, enc)
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -284,6 +285,88 @@ func TestFailoverAllEndpointsDown(t *testing.T) {
 	}
 }
 
+// TestFailoverBreakersOpenNamed: once every breaker is open, a pass admits
+// no endpoint. The pool says so and names the open breakers, instead of
+// reporting zero attempts and a nil cause.
+func TestFailoverBreakersOpenNamed(t *testing.T) {
+	ep0 := &fakeEndpoint{pub: []byte("p0"), down: true}
+	fc, _ := newFakePool(t, []*fakeEndpoint{ep0},
+		WithBreakerThreshold(1), WithBreakerCooldown(time.Hour),
+		WithEndpointClientOptions(fastRetry(0)...))
+	ctx := context.Background()
+	if _, err := fc.Attest(ctx, &sgx.Quote{}, []byte("cpub")); !errors.Is(err, ErrServerUnavailable) {
+		t.Fatalf("first attest: err = %v, want ErrServerUnavailable", err)
+	}
+	_, err := fc.Attest(ctx, &sgx.Quote{}, []byte("cpub"))
+	if !errors.Is(err, ErrServerUnavailable) {
+		t.Fatalf("second attest: err = %v, want ErrServerUnavailable", err)
+	}
+	if !strings.Contains(err.Error(), "open circuit breakers: [ep0]") {
+		t.Fatalf("error does not name the open breaker: %v", err)
+	}
+	if ep0.attests != 1 {
+		t.Fatalf("endpoint attested %d times, want 1 (its breaker is open)", ep0.attests)
+	}
+}
+
+// TestDeadFleetDialsOncePerPass: one resilient restore against three
+// endpoints that refuse connections, with the default retry and breaker
+// settings, dials each endpoint once per pass until its breaker opens —
+// at most 9 dials — and reports the outage once: only one layer retries.
+func TestDeadFleetDialsOncePerPass(t *testing.T) {
+	if testing.Short() {
+		t.Skip("enclave protocol run in -short")
+	}
+	_, h := env(t)
+	p := buildApp(t, h, SanitizeOptions{})
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		l := listen(t)
+		addrs = append(addrs, l.Addr().String())
+		l.Close()
+	}
+	var mu sync.Mutex
+	dials := make(map[string]int)
+	fc, err := NewFailoverClient(addrs, WithEndpointClientOptions(
+		WithDialer(func(ctx context.Context, addr string) (net.Conn, error) {
+			mu.Lock()
+			dials[addr]++
+			mu.Unlock()
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
+		})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	encl, rt, err := p.Launch(h, fc, p.LocalFiles())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = RestoreResilient(context.Background(), encl, rt, 0)
+	took := time.Since(start)
+	if !errors.Is(err, ErrServerUnavailable) {
+		t.Fatalf("err = %v, want ErrServerUnavailable", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	total := 0
+	for addr, n := range dials {
+		total += n
+		if n > 3 {
+			t.Errorf("%s dialed %d times, want <= 3 (one per pass until its breaker opens)", addr, n)
+		}
+	}
+	if total > 9 {
+		t.Errorf("%d dials in all, want <= 9", total)
+	}
+	if n := strings.Count(err.Error(), "unavailable after"); n != 1 {
+		t.Errorf("error reports the outage %d times: %v", n, err)
+	}
+	t.Logf("%d dials in %v: %v", total, took, err)
+}
+
 // killableServer runs one real TCP auth server that the test can kill.
 type killableServer struct {
 	addr   string
@@ -377,9 +460,7 @@ func TestReplicaTakeoverMidProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RestoreResilient(context.Background(), encl, rt, RestoreOptions{
-		MaxAttempts: 3, Backoff: time.Millisecond,
-	})
+	out, err := RestoreResilient(context.Background(), encl, rt, 0)
 	if err != nil {
 		t.Fatalf("resilient restore failed: %v (events %v)", err, out.Events)
 	}
@@ -459,9 +540,7 @@ func TestFailoverResumeOnPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RestoreResilient(context.Background(), encl, rt, RestoreOptions{
-		MaxAttempts: 3, Backoff: time.Millisecond,
-	})
+	out, err := RestoreResilient(context.Background(), encl, rt, 0)
 	if err != nil {
 		t.Fatalf("resilient restore failed: %v (events %v)", err, out.Events)
 	}

@@ -193,7 +193,9 @@ func marshalAttestReply(pub, encMeta, encData []byte) []byte {
 }
 
 // parseAttestReply splits an attestation reply into the channel public
-// key and any bundled channel responses.
+// key and any bundled channel responses. The client serves the bundle by
+// position, so a data part without the meta part before it is refused:
+// it would be served as the reply to REQUEST_META.
 func parseAttestReply(payload []byte) (pub []byte, bundled [][]byte, err error) {
 	if len(payload) < 1+32+8 || payload[0] != ProtoV1 {
 		return nil, nil, fmt.Errorf("elide: malformed attest reply (%d bytes)", len(payload))
@@ -208,6 +210,9 @@ func parseAttestReply(payload []byte) (pub []byte, bundled [][]byte, err error) 
 			return nil, nil, fmt.Errorf("elide: truncated attest bundle part (%d of %d bytes)", len(rest), n)
 		}
 		if n > 0 {
+			if len(bundled) < part {
+				return nil, nil, fmt.Errorf("elide: attest bundle has data without meta")
+			}
 			bundled = append(bundled, rest[:n])
 		}
 		rest = rest[n:]

@@ -212,6 +212,35 @@ func FuzzReadHandshake(f *testing.F) {
 	})
 }
 
+// FuzzReadResponse feeds arbitrary streams to the client's reply
+// decoders, readResponse and then parseAttestReply on an OK payload, which
+// read whatever a server the client dials sends. Neither may panic, an
+// accepted attest reply must re-marshal to exactly the payload it was
+// parsed from, and decoding may commit at most one frameStep beyond a
+// multiple of the bytes that arrived.
+func FuzzReadResponse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var payload, pub []byte
+		var bundled [][]byte
+		var err error
+		if got := heapBytes(func() {
+			if payload, err = readResponse(bytes.NewReader(data)); err == nil {
+				pub, bundled, err = parseAttestReply(payload)
+			}
+		}); got > frameStep+decodeOverhead+8*uint64(len(data)) {
+			t.Fatalf("decoding %d input bytes allocated %d bytes", len(data), got)
+		}
+		if err != nil {
+			return
+		}
+		parts := make([][]byte, 2)
+		copy(parts, bundled)
+		if out := marshalAttestReply(pub, parts[0], parts[1]); !bytes.Equal(out, payload) {
+			t.Fatalf("re-marshaled %x, parsed %x", out, payload)
+		}
+	})
+}
+
 // BenchmarkHandshake is one client attest handshake: encode, frame and
 // decode — what both sides pay per connection before any authentication.
 func BenchmarkHandshake(b *testing.B) {

@@ -73,9 +73,7 @@ func TestCrossProcessTraceFailoverE2E(t *testing.T) {
 	}
 	defer encl.Destroy()
 	rt.Audit = audit
-	out, err := RestoreResilient(context.Background(), encl, rt, RestoreOptions{
-		MaxAttempts: 3, Backoff: time.Millisecond,
-	})
+	out, err := RestoreResilient(context.Background(), encl, rt, 0)
 	if err != nil {
 		t.Fatalf("resilient restore failed: %v (events %v)", err, out.Events)
 	}

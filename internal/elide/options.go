@@ -79,7 +79,7 @@ func WithRequestTimeout(d time.Duration) ClientOption {
 // WithRetryBudget sets how many times a transient failure is retried after
 // the first attempt (default DefaultRetryBudget; 0 disables retries).
 func WithRetryBudget(n int) ClientOption {
-	return func(o *clientOptions) { o.maxRetries = n }
+	return func(o *clientOptions) { o.retry.budget = n }
 }
 
 // WithRetryBackoff sets the exponential backoff base and cap between
@@ -87,7 +87,7 @@ func WithRetryBudget(n int) ClientOption {
 // sleeps a uniformly jittered duration in [base/2, base) * 2^attempt,
 // clamped to cap.
 func WithRetryBackoff(base, cap time.Duration) ClientOption {
-	return func(o *clientOptions) { o.backoffBase, o.backoffCap = base, cap }
+	return func(o *clientOptions) { o.retry.base, o.retry.cap = base, cap }
 }
 
 // WithProtocolVersion sets what the client asks of the one wire protocol
@@ -277,8 +277,9 @@ func WithFailoverAudit(a *obs.AuditLog) FailoverOption {
 }
 
 // WithEndpointClientOptions passes options to every per-endpoint
-// TCPClient the pool builds (timeouts, retry budget, protocol version,
-// dialer, ...).
+// TCPClient the pool builds (timeouts, protocol version, dialer, ...). The
+// retry options set the pool's own policy: one attempt is one pass over
+// the pool, and the endpoint clients make one attempt each.
 func WithEndpointClientOptions(opts ...ClientOption) FailoverOption {
 	return func(o *poolOptions) { o.clientOpts = opts }
 }

@@ -318,10 +318,10 @@ func TestInflightLimitSheds(t *testing.T) {
 }
 
 // TestFailoverSurfacesTypedOverload: when EVERY replica sheds, the
-// failover pool must surface the typed overload (so RestoreResilient
-// classifies the run retryable and backs off) rather than flattening it
-// into a generic unavailable error — and the shedding endpoints must be
-// counted, not circuit-broken, because an overloaded server is healthy.
+// failover pool must surface the typed overload (the fleet is up, it
+// wants the client later) rather than flattening it into a generic
+// unavailable error — and the shedding endpoints must be counted, not
+// circuit-broken, because an overloaded server is healthy.
 func TestFailoverSurfacesTypedOverload(t *testing.T) {
 	shedding := func() net.Listener {
 		l := listen(t)

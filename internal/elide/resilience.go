@@ -4,27 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"sgxelide/internal/obs"
 	"sgxelide/internal/sdk"
 )
 
-// RestoreOptions configures RestoreResilient.
-type RestoreOptions struct {
-	// Flags are the base elide_restore flags. FlagTrySealed is added
-	// automatically when the file store holds a sealed blob.
-	Flags uint64
-
-	// MaxAttempts bounds protocol runs (default 3). Each attempt is a full
-	// elide_restore: a retryable failure re-attests from scratch, which is
-	// exactly what a session lost to a failover needs.
-	MaxAttempts int
-
-	// Backoff is the base delay between attempts, doubled each retry
-	// (default 50ms; the per-endpoint transport already jitters below this).
-	Backoff time.Duration
-}
+// restoreRuns bounds the protocol runs of one RestoreResilient.
+const restoreRuns = 3
 
 // RestoreOutcome reports how a resilient restore ended: the enclave code,
 // which strategy in the degradation chain produced the bytes, how many
@@ -73,24 +59,21 @@ func (e *RestoreFailure) Unwrap() error { return e.Last }
 
 // RestoreResilient drives elide_restore through the degradation chain —
 // sealed blob, then the authentication server (or pool), then in hybrid
-// deployments the encrypted local file — retrying whole protocol runs
-// when the failure is retryable: a session lost to an endpoint failover,
-// an exhausted transport retry budget, a stale-session refusal on the
-// encrypted channel, or a torn apply. Terminal failures (an attestation
-// refusal — the server examined the quote and said no — or a cancelled
-// context) are returned immediately: retrying cannot change the answer.
+// deployments the encrypted local file — rerunning the whole protocol, at
+// once and up to restoreRuns times, only when a fresh run fixes the
+// failure: a session lost mid-protocol, a stale-session refusal on the
+// encrypted channel, or a torn apply. Everything else is final: an
+// attestation refusal (the server examined the quote and said no), a
+// cancelled context, and an unavailable or overloaded server, for which
+// the channel has already spent its retry budget and waited out the
+// server's hints.
 //
-// The strategy *ordering* lives in the enclave (trusted.go); this driver
-// adds what the enclave cannot do for itself: classify why a run failed
-// and decide whether another run is worth the wire traffic.
-func RestoreResilient(ctx context.Context, encl *sdk.Enclave, rt *Runtime, opts RestoreOptions) (*RestoreOutcome, error) {
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 50 * time.Millisecond
-	}
-	flags := opts.Flags
+// flags are the base elide_restore flags; FlagTrySealed is added when the
+// file store holds a sealed blob. The strategy *ordering* lives in the
+// enclave (trusted.go); this driver adds what the enclave cannot do for
+// itself: classify why a run failed and decide whether another run is
+// worth the wire traffic.
+func RestoreResilient(ctx context.Context, encl *sdk.Enclave, rt *Runtime, flags uint64) (*RestoreOutcome, error) {
 	if rt.Files != nil && len(rt.Files.Sealed) > 0 {
 		flags |= FlagTrySealed
 	}
@@ -98,22 +81,12 @@ func RestoreResilient(ctx context.Context, encl *sdk.Enclave, rt *Runtime, opts 
 	out := &RestoreOutcome{}
 	var lastCode uint64
 	var lastErr error
-	for attempt := 0; attempt < opts.MaxAttempts; attempt++ {
+	for out.Attempts < restoreRuns {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		if attempt > 0 {
+		if out.Attempts > 0 {
 			rt.Metrics.Counter("restore.retries").Inc()
-			delay := opts.Backoff << uint(attempt-1)
-			// A server overload answer carries a retry-after hint; sleeping
-			// less than it just burns the next attempt against a server that
-			// already said "not yet".
-			if hint := overloadRetryAfter(lastErr); hint > delay {
-				delay = hint
-			}
-			if err := sleepCtx(ctx, delay); err != nil {
-				return out, err
-			}
 		}
 		mark := len(rt.Errs())
 		out.Attempts++
@@ -150,22 +123,6 @@ func RestoreResilient(ctx context.Context, encl *sdk.Enclave, rt *Runtime, opts 
 	fail := &RestoreFailure{Code: lastCode, Attempts: out.Attempts, Last: lastErr}
 	rt.Audit.Emit(obs.AuditEvent{Type: obs.AuditRestoreFailed, TraceID: out.LastTraceID(), Detail: retryDetail(lastErr), Code: int64(lastCode)})
 	return out, fail
-}
-
-// overloadRetryAfter extracts the server's retry-after hint when err (or
-// anything in its chain) is an overload answer, clamped to the backoff
-// cap so a confused server cannot park the restore loop indefinitely.
-// Zero when there is no hint.
-func overloadRetryAfter(err error) time.Duration {
-	var oe *OverloadedError
-	if !errors.As(err, &oe) {
-		return 0
-	}
-	hint := oe.RetryAfter
-	if hint > DefaultBackoffCap {
-		hint = DefaultBackoffCap
-	}
-	return hint
 }
 
 // retryDetail names the typed cause of a failed attempt for the audit
@@ -208,8 +165,9 @@ func restoreSource(code uint64, events []error) string {
 	return "server"
 }
 
-// restoreRetryable classifies a failed protocol run from the enclave code
-// and the typed events the runtime recorded during it.
+// restoreRetryable reports whether a failed protocol run is worth a fresh
+// one, from the enclave code and the typed events the runtime recorded
+// during it.
 func restoreRetryable(code uint64, events []error) bool {
 	// A torn apply left elide_restored clear; the next run redoes the whole
 	// protocol, and a transient corruption (scribbled data ocall buffer)
@@ -217,34 +175,22 @@ func restoreRetryable(code uint64, events []error) bool {
 	if code == RestoreErrTorn {
 		return true
 	}
-	retryable := false
 	for _, e := range events {
+		// A fresh run re-attests, so it establishes the session a failover
+		// or a server restart lost.
+		if errors.Is(e, ErrSessionLost) {
+			return true
+		}
+		// A refusal on the encrypted channel is almost always a stale
+		// session (the endpoint changed under us); a fresh run attests to
+		// the live endpoint directly. An attest-phase refusal is the
+		// server's verdict on the quote: no rerun changes it.
 		var pe *PhaseError
-		if errors.As(e, &pe) {
-			if pe.Phase == "attest" && errors.Is(pe, ErrRefused) {
-				// The server examined the quote and refused it: wrong
-				// identity or revoked deployment. No retry helps.
-				return false
-			}
-			if errors.Is(pe, ErrRefused) {
-				// A refusal on the encrypted channel is almost always a
-				// stale session (the endpoint changed under us); a fresh
-				// protocol run attests to the live endpoint directly.
-				retryable = true
-				continue
-			}
-		}
-		if errors.Is(e, ErrSessionLost) || errors.Is(e, ErrServerUnavailable) {
-			retryable = true
-		}
-		// An overload answer is explicitly an invitation to retry: the
-		// server shed this run under backpressure, and the between-attempt
-		// backoff is exactly the "come back later" it asked for.
-		if errors.Is(e, ErrOverloaded) {
-			retryable = true
+		if errors.As(e, &pe) && pe.Phase != "attest" && errors.Is(pe, ErrRefused) {
+			return true
 		}
 	}
-	return retryable
+	return false
 }
 
 // lastTyped returns the newest event worth reporting (skipping the

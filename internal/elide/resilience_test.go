@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"sgxelide/internal/obs"
 )
@@ -43,7 +42,7 @@ func TestHybridDegradesToLocalFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RestoreResilient(context.Background(), encl, rt, RestoreOptions{})
+	out, err := RestoreResilient(context.Background(), encl, rt, 0)
 	if err != nil {
 		t.Fatalf("restore failed instead of degrading: %v", err)
 	}
@@ -80,7 +79,7 @@ func TestHybridPrefersRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RestoreResilient(context.Background(), encl, rt, RestoreOptions{})
+	out, err := RestoreResilient(context.Background(), encl, rt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestSealedCorruptTypedAndReseal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RestoreResilient(context.Background(), encl2, rt2, RestoreOptions{})
+	out, err := RestoreResilient(context.Background(), encl2, rt2, 0)
 	if err != nil {
 		t.Fatalf("corrupt sealed blob aborted the restore: %v", err)
 	}
@@ -159,7 +158,7 @@ func TestSealedCorruptTypedAndReseal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out3, err := RestoreResilient(context.Background(), encl3, rt3, RestoreOptions{})
+	out3, err := RestoreResilient(context.Background(), encl3, rt3, 0)
 	if err != nil {
 		t.Fatalf("re-sealed blob did not restore offline: %v", err)
 	}
@@ -195,9 +194,7 @@ func TestTornRestoreDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RestoreResilient(context.Background(), encl, rt, RestoreOptions{
-		MaxAttempts: 2, Backoff: time.Millisecond,
-	})
+	out, err := RestoreResilient(context.Background(), encl, rt, 0)
 	if err == nil {
 		t.Fatalf("tampered data restored successfully (outcome %+v)", out)
 	}
@@ -211,8 +208,8 @@ func TestTornRestoreDetected(t *testing.T) {
 	if !errors.As(err, &rf) || rf.Code != RestoreErrTorn {
 		t.Fatalf("failure code = %v, want %d", err, RestoreErrTorn)
 	}
-	if rf.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (torn is retryable)", rf.Attempts)
+	if rf.Attempts != 3 {
+		t.Fatalf("attempts = %d, want 3 (torn is retryable)", rf.Attempts)
 	}
 	if h.Metrics.Snapshot().Counters["runtime.torn_restores"] == 0 {
 		t.Fatal("torn_restores not counted")
@@ -236,7 +233,7 @@ func TestRestoreResilientTerminalRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rerr := RestoreResilient(context.Background(), encl, rt, RestoreOptions{MaxAttempts: 3})
+	_, rerr := RestoreResilient(context.Background(), encl, rt, 0)
 	if !errors.Is(rerr, ErrRestoreFailed) {
 		t.Fatalf("err = %v, want ErrRestoreFailed", rerr)
 	}

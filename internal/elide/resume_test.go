@@ -2,6 +2,7 @@ package elide
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -266,21 +267,32 @@ func TestInflightRetryAfter(t *testing.T) {
 	}
 }
 
-// TestOverloadRetryAfterHint: the restore retry loop honors a server's
-// retry-after hint, clamped to the backoff cap, and ignores other errors.
+// TestOverloadRetryAfterHint: the retry policy waits out a server's
+// retry-after hint when it exceeds the backoff, and clamps a hint to the
+// backoff cap so a confused server cannot park the caller indefinitely.
 func TestOverloadRetryAfterHint(t *testing.T) {
-	if got := overloadRetryAfter(nil); got != 0 {
-		t.Fatalf("nil error hint = %v", got)
+	p := retryPolicy{budget: 1, base: time.Microsecond, cap: 20 * time.Millisecond}
+	shedOnce := func(hint time.Duration) func(context.Context) ([]byte, error) {
+		calls := 0
+		return func(context.Context) ([]byte, error) {
+			if calls++; calls == 1 {
+				return nil, &PhaseError{Phase: "attest", Err: &OverloadedError{RetryAfter: hint}}
+			}
+			return []byte("ok"), nil
+		}
 	}
-	if got := overloadRetryAfter(errors.New("boom")); got != 0 {
-		t.Fatalf("plain error hint = %v", got)
+	start := time.Now()
+	if _, err := p.run(context.Background(), nil, nil, "test", shedOnce(5*time.Millisecond)); err != nil {
+		t.Fatal(err)
 	}
-	oe := &OverloadedError{RetryAfter: 123 * time.Millisecond}
-	if got := overloadRetryAfter(&PhaseError{Phase: "attest", Err: oe}); got != 123*time.Millisecond {
-		t.Fatalf("wrapped hint = %v, want 123ms", got)
+	if waited := time.Since(start); waited < 5*time.Millisecond {
+		t.Fatalf("retried after %v, want >= the 5ms hint", waited)
 	}
-	huge := &OverloadedError{RetryAfter: time.Hour}
-	if got := overloadRetryAfter(huge); got != DefaultBackoffCap {
-		t.Fatalf("uncapped hint = %v, want %v", got, DefaultBackoffCap)
+	start = time.Now()
+	if _, err := p.run(context.Background(), nil, nil, "test", shedOnce(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(start); waited < p.cap || waited > time.Minute {
+		t.Fatalf("an hour-long hint waited %v, want the %v cap", waited, p.cap)
 	}
 }

@@ -1,6 +1,7 @@
 package elide
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -219,21 +220,40 @@ func readResponse(r io.Reader) ([]byte, error) {
 type clientOptions struct {
 	dialTimeout    time.Duration
 	requestTimeout time.Duration
-	maxRetries     int
-	backoffBase    time.Duration
-	backoffCap     time.Duration
+	retry          retryPolicy
 	proto          uint8
 	metrics        *obs.Registry
 	tracer         *obs.Tracer
 	dial           func(ctx context.Context, addr string) (net.Conn, error)
 }
 
+// newClientOptions applies opts over the defaults. NewTCPClient and
+// NewEndpointPool share it: a pool reads its retry policy from the options
+// it hands its endpoint clients.
+func newClientOptions(opts []ClientOption) clientOptions {
+	o := clientOptions{
+		dialTimeout:    DefaultDialTimeout,
+		requestTimeout: DefaultRequestTimeout,
+		retry:          retryPolicy{budget: DefaultRetryBudget, base: DefaultBackoffBase, cap: DefaultBackoffCap},
+		proto:          ProtoV1,
+	}
+	for _, fn := range opts {
+		fn(&o)
+	}
+	if o.dial == nil {
+		o.dial = func(ctx context.Context, addr string) (net.Conn, error) {
+			var d net.Dialer
+			return d.DialContext(ctx, "tcp", addr)
+		}
+	}
+	return o
+}
+
 // TCPClient reaches the authentication server over TCP. It dials lazily,
-// applies per-operation deadlines, and retries transient connection
-// failures with exponential backoff and jitter, transparently resuming
-// the session on a fresh connection (the server resumes the session keyed
-// by the client's quote-bound ephemeral key, so the channel key survives a
-// reconnect).
+// applies per-operation deadlines, and runs the retry policy over its one
+// address, transparently resuming the session on a fresh connection (the
+// server resumes the session keyed by the client's quote-bound ephemeral
+// key, so the channel key survives a reconnect).
 //
 // By default Attest asks the server to bundle the encrypted meta and data
 // responses into its reply, and Request serves them from the local cache
@@ -255,8 +275,10 @@ type TCPClient struct {
 	attested bool
 	// handshake is the resume form of the handshake that last attested
 	// successfully, resent on a fresh connection ahead of a retried
-	// request.
+	// request; serverPub is the key that handshake was answered with, the
+	// one the caller's channel key is bound to.
 	handshake *attestMsg
+	serverPub []byte
 	// pending holds the encrypted channel responses a bundled attest
 	// pre-fetched, served FIFO by Request. Cleared on every (re)attest.
 	pending [][]byte
@@ -265,24 +287,7 @@ type TCPClient struct {
 // NewTCPClient builds a client for the server at addr. No connection is
 // made until the first Attest.
 func NewTCPClient(addr string, opts ...ClientOption) *TCPClient {
-	o := clientOptions{
-		dialTimeout:    DefaultDialTimeout,
-		requestTimeout: DefaultRequestTimeout,
-		maxRetries:     DefaultRetryBudget,
-		backoffBase:    DefaultBackoffBase,
-		backoffCap:     DefaultBackoffCap,
-		proto:          ProtoV1,
-	}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	if o.dial == nil {
-		o.dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
-	return &TCPClient{addr: addr, opt: o}
+	return &TCPClient{addr: addr, opt: newClientOptions(opts)}
 }
 
 // Close tears down the current connection, if any.
@@ -355,7 +360,7 @@ func (c *TCPClient) attest(ctx context.Context, q *sgx.Quote, clientPub []byte, 
 	replay := *msg
 	replay.Kind, replay.Bundle = kindResume, 0
 	defer c.opt.metrics.Observe("client.attest_ns", time.Now())
-	return c.withRetry(ctx, "client.attest", func() ([]byte, error) {
+	return c.retry(ctx, "client.attest", func(ctx context.Context) ([]byte, error) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.pending = nil // a (re)attestation restarts the protocol sequence
@@ -380,6 +385,7 @@ func (c *TCPClient) attest(ctx context.Context, q *sgx.Quote, clientPub []byte, 
 		}
 		c.attested = true
 		c.handshake = &replay
+		c.serverPub = pub
 		c.pending = bundled
 		if len(bundled) > 0 {
 			c.opt.metrics.Counter("client.bundled_attests").Inc()
@@ -393,7 +399,9 @@ func (c *TCPClient) attest(ctx context.Context, q *sgx.Quote, clientPub []byte, 
 // served from the cache without touching the wire; otherwise it is one
 // round trip. On a transient failure it reconnects and sends the session
 // resume and the request back to back — one flight — so the server-side
-// session and channel key carry over.
+// session and channel key carry over. A server that answers the resume
+// with a different key has lost the session: the request went out under a
+// key it does not hold, and Request returns ErrSessionLost.
 func (c *TCPClient) Request(ctx context.Context, enc []byte) ([]byte, error) {
 	c.mu.Lock()
 	if !c.attested {
@@ -410,7 +418,7 @@ func (c *TCPClient) Request(ctx context.Context, enc []byte) ([]byte, error) {
 	}
 	c.mu.Unlock()
 	defer c.opt.metrics.Observe("client.request_ns", time.Now())
-	return c.withRetry(ctx, "client.request", func() ([]byte, error) {
+	return c.retry(ctx, "client.request", func(ctx context.Context) ([]byte, error) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		fresh := c.conn == nil
@@ -429,8 +437,16 @@ func (c *TCPClient) Request(ctx context.Context, enc []byte) ([]byte, error) {
 		}
 		c.opt.metrics.Counter("client.flights").Inc()
 		if fresh {
-			if _, err := readResponse(c.conn); err != nil {
+			payload, err := readResponse(c.conn)
+			if err != nil {
 				return nil, err
+			}
+			pub, _, err := parseAttestReply(payload)
+			if err != nil {
+				return nil, err
+			}
+			if !bytes.Equal(pub, c.serverPub) {
+				return nil, ErrSessionLost
 			}
 		}
 		return readResponse(c.conn)
@@ -446,19 +462,47 @@ func (c *TCPClient) setDeadlineLocked() {
 	}
 }
 
-// withRetry runs op, retrying transient failures with exponential backoff
-// and jitter until the budget is spent, then reports ErrServerUnavailable.
-// A server overload answer is also retried — honoring the server's
-// retry-after hint when it exceeds the backoff — but when the budget runs
-// out it surfaces as the typed *OverloadedError, not as unavailability:
-// the server is alive, it just said "not now". The whole operation is one
-// span (parented to the context's span when present), with an "attempt"
-// child per try so a trace shows the retry history, not just the final
-// outcome.
-func (c *TCPClient) withRetry(ctx context.Context, metric string, op func() ([]byte, error)) (out []byte, err error) {
+// retry runs op under the client's retry policy, dropping the connection
+// after a failed attempt so that neither the next attempt nor a later
+// Request reuses a dead one.
+func (c *TCPClient) retry(ctx context.Context, metric string, op func(context.Context) ([]byte, error)) ([]byte, error) {
+	return c.opt.retry.run(ctx, c.opt.tracer, c.opt.metrics, metric, func(ctx context.Context) ([]byte, error) {
+		out, err := op(ctx)
+		if err != nil {
+			c.mu.Lock()
+			_ = c.closeConnLocked()
+			c.mu.Unlock()
+		}
+		return out, err
+	})
+}
+
+// retryPolicy is the package's one retry loop: a budget of retries after
+// the first attempt, one jittered exponential backoff between attempts,
+// and a server's overload hint waited out up to the cap. Exactly one layer
+// of a client stack runs it: a bare TCPClient over its one address, a
+// FailoverClient over passes of its pool, whose endpoint clients make one
+// attempt each.
+type retryPolicy struct {
+	budget    int           // retries after the first attempt
+	base, cap time.Duration // backoff base, and the clamp on backoff and hints
+}
+
+// run calls op until it succeeds, fails for good, or the budget is spent.
+// A transient failure (isTransient) is retried after the backoff, an
+// overload answer after the larger of the backoff and the server's hint;
+// any other error is final and returned as is. A spent budget returns the
+// typed *OverloadedError when the last answer was a shed — the server is
+// alive, it said "not now" — and otherwise an error matching
+// ErrServerUnavailable that wraps the last failure. The operation is one
+// span named metric, parented to the context's span (else rooted in
+// tracer), with an "attempt" child per try that op receives in its
+// context; the counters are metric+"_retries", "_overloaded" and
+// "_unavailable".
+func (p retryPolicy) run(ctx context.Context, tracer *obs.Tracer, metrics *obs.Registry, metric string, op func(context.Context) ([]byte, error)) (out []byte, err error) {
 	span := obs.SpanFromContext(ctx).Child(metric)
 	if span == nil {
-		span = c.opt.tracer.Start(metric)
+		span = tracer.Start(metric)
 	}
 	tried := 0
 	defer func() {
@@ -467,71 +511,56 @@ func (c *TCPClient) withRetry(ctx context.Context, metric string, op func() ([]b
 		span.End()
 	}()
 	var last error
-	var overloadDelay time.Duration
-	attempts := c.opt.maxRetries + 1
-	for attempt := 0; attempt < attempts; attempt++ {
+	var hint time.Duration // the last shed's retry-after, clamped to the cap
+	for tried <= p.budget {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if attempt > 0 {
-			c.opt.metrics.Counter(metric + "_retries").Inc()
-			delay := c.backoff(attempt - 1)
-			if overloadDelay > delay {
-				delay = overloadDelay
-			}
-			overloadDelay = 0
-			if err := sleepCtx(ctx, delay); err != nil {
+		if tried > 0 {
+			metrics.Counter(metric + "_retries").Inc()
+			if err := sleepCtx(ctx, max(p.backoff(tried-1), hint)); err != nil {
 				return nil, err
 			}
 		}
 		tried++
 		asp := span.Child("attempt")
-		out, err := op()
-		if err == nil {
-			asp.End()
-			return out, nil
-		}
+		out, err := op(obs.ContextWithSpan(ctx, asp))
 		asp.SetError(err)
 		asp.End()
-		// A dead connection must not be reused by the next attempt (or a
-		// later Request); drop it before classifying the error. The close
-		// error is irrelevant next to the op error being handled.
-		c.mu.Lock()
-		_ = c.closeConnLocked()
-		c.mu.Unlock()
 		var oe *OverloadedError
-		if errors.As(err, &oe) {
-			c.opt.metrics.Counter(metric + "_overloaded").Inc()
-			overloadDelay = oe.RetryAfter
-			if overloadDelay > c.opt.backoffCap {
-				overloadDelay = c.opt.backoffCap
-			}
-			last = err
-			continue
-		}
-		if !isTransient(err) {
+		switch {
+		case err == nil:
+			return out, nil
+		case errors.As(err, &oe):
+			metrics.Counter(metric + "_overloaded").Inc()
+			hint = min(oe.RetryAfter, p.cap)
+		case isTransient(err):
+			hint = 0
+		default:
 			return nil, err
 		}
 		last = err
 	}
-	var oe *OverloadedError
-	if errors.As(last, &oe) {
+	if errors.Is(last, ErrOverloaded) {
 		return nil, last
 	}
-	c.opt.metrics.Counter(metric + "_unavailable").Inc()
-	return nil, &unavailableError{attempts: attempts, last: last}
+	metrics.Counter(metric + "_unavailable").Inc()
+	if ue, ok := last.(*unavailableError); ok {
+		last = ue.last // an endpoint client's single attempt: report the cause once
+	}
+	return nil, &unavailableError{attempts: tried, last: last}
 }
 
-// backoff computes the jittered exponential delay for the given retry
-// index: uniform in [base/2, base) * 2^i, clamped to the cap. The jitter
-// comes from math/rand/v2's process-wide generator, which is safe for
-// concurrent use without a lock — backoffs from parallel requests on one
-// client must neither race on a shared rand.Rand nor contend on the
-// client mutex that the in-flight operation holds.
-func (c *TCPClient) backoff(i int) time.Duration {
-	d := c.opt.backoffBase << uint(i)
-	if d > c.opt.backoffCap || d <= 0 {
-		d = c.opt.backoffCap
+// backoff is the jittered exponential delay before retry i: uniform in
+// [base/2, base) * 2^i, clamped to the cap. The jitter comes from
+// math/rand/v2's process-wide generator, which is safe for concurrent use
+// without a lock: backoffs from parallel requests on one client must
+// neither race on a shared rand.Rand nor contend on the client mutex that
+// the in-flight operation holds.
+func (p retryPolicy) backoff(i int) time.Duration {
+	d := p.base << uint(i)
+	if d > p.cap || d <= 0 {
+		d = p.cap
 	}
 	half := d / 2
 	if half <= 0 {

@@ -267,6 +267,41 @@ func TestClientReconnectReplaysHandshake(t *testing.T) {
 	}
 }
 
+// TestClientReconnectDetectsLostSession: the server drops the connection
+// after attestation and, having lost the session (a restart outside a
+// fleet), answers the pipelined resume with a fresh key. The request went
+// out under the old key, so the client reports ErrSessionLost, not the
+// server's refusal of a request it cannot decrypt.
+func TestClientReconnectDetectsLostSession(t *testing.T) {
+	l := listen(t)
+	serveWire(t, l, func(i int, conn net.Conn) {
+		if _, err := readHandshake(conn); err != nil {
+			return
+		}
+		writeResponse(conn, marshalAttestReply(bytes.Repeat([]byte{byte(i + 1)}, 32), nil, nil))
+		if i == 0 {
+			return // drop before answering any request
+		}
+		if _, err := readFrameInto(conn, nil); err != nil {
+			return
+		}
+		writeErrorFrame(conn, "bad request: cipher: message authentication failed")
+	})
+	c := NewTCPClient(l.Addr().String(), fastRetry(3)...)
+	defer c.Close()
+	ctx := context.Background()
+	if _, err := c.Attest(ctx, &sgx.Quote{}, make([]byte, 32)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.Request(ctx, []byte("payload"))
+	if !errors.Is(err, ErrSessionLost) {
+		t.Fatalf("err = %v, want ErrSessionLost", err)
+	}
+	if errors.Is(err, ErrRefused) {
+		t.Fatalf("the server's refusal of a stale-key request leaked through: %v", err)
+	}
+}
+
 // TestClientRecoversFromTruncatedResponse: a response torn mid-frame by a
 // FaultConn is retried on a fresh connection.
 func TestClientRecoversFromTruncatedResponse(t *testing.T) {
