@@ -9,8 +9,9 @@ build:
 # analyzers plus the elide-vet secrecy suite), full tests including the
 # nested perfbench module's, the race detector over the transport-heavy
 # packages and the tracer, the observability allocation budgets, a short
-# exploring fuzz of the handshake, member-list and client reply decoders,
-# and short-mode chaos, load, resume and churn smoke runs.
+# exploring fuzz of the handshake, member-list and client reply decoders
+# and of the meta decoder the deployment loader feeds from disk, and
+# short-mode chaos, load, resume and churn smoke runs.
 verify: fmt-check build
 	$(GO) vet ./...
 	$(MAKE) vet-security
@@ -57,17 +58,20 @@ race:
 	$(GO) test -race ./internal/elide/... ./internal/sdk/... ./internal/obs/...
 
 # Ten seconds of native fuzzing on each decoder an unauthenticated peer
-# reaches, about 30 s in all: the handshake (FuzzReadHandshake,
-# handshake_test.go), the member list a client reads from any server it
-# dials (FuzzParseMembers, membership_test.go), and the response frame and
-# attest reply it reads from that server (FuzzReadResponse,
-# handshake_test.go). -fuzzminimizetime 0 keeps the time for exploration:
-# minimizing a new input defaults to 60 s, which would use up the whole
-# run on the first find.
+# reaches: the handshake (FuzzReadHandshake, handshake_test.go), the
+# member list a client reads from any server it dials (FuzzParseMembers,
+# membership_test.go), and the response frame and attest reply it reads
+# from that server (FuzzReadResponse, handshake_test.go). Then five
+# seconds on the meta decoder the server's deployment loader feeds from
+# disk (FuzzUnmarshalMeta, property_test.go): about 35 s in all.
+# -fuzzminimizetime 0 keeps the time for exploration: minimizing a new
+# input defaults to 60 s, which would use up the whole run on the first
+# find.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadHandshake$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/elide/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMembers$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/elide/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadResponse$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/elide/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalMeta$$' -fuzztime 5s -fuzzminimizetime 0 ./internal/elide/
 
 # Scaled-down chaos smoke: replicated servers, a mid-run kill + restart,
 # scripted connection faults; every restore must succeed or fail typed.

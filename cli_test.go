@@ -143,6 +143,19 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("wrong ecall result after walking past a dead endpoint:\n%s", out)
 	}
 
+	// A hybrid build restores in-process: elide-run's own server holds the
+	// plaintext copy, its launch the encrypted local file.
+	runCmd(tool("elide-sanitize"), "-hybrid", "-whitelist", "whitelist.json", "-o", "build-hybrid", "enclave.so")
+	runCmd(tool("elide-sign"), "-key", "dev.pem", "-bits", "2048", "-o", "build-hybrid/enclave.sigstruct", "build-hybrid/sanitized.so")
+	out = runCmd(tool("elide-run"), "-dir", "build-hybrid", "-edl", "app.edl", "-ca", "ca.pem",
+		"-ecall", "ecall_compute", "-arg", "42")
+	if !strings.Contains(out, "restored via the authentication server") {
+		t.Fatalf("in-process hybrid restore missing:\n%s", out)
+	}
+	if !strings.Contains(out, "= 56253") {
+		t.Fatalf("wrong ecall result after the in-process hybrid restore:\n%s", out)
+	}
+
 	// A bare program through evmcc + evm-run for good measure.
 	hello := "int putchar(int c);\nint main(void) { putchar('o'); putchar('k'); return 0; }\n"
 	if err := os.WriteFile(filepath.Join(dir, "hello.c"), []byte(hello), 0o644); err != nil {

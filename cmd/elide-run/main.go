@@ -16,6 +16,10 @@
 //
 // The -ca file pins the machine's attestation root across invocations so
 // the server started from the emitted files trusts this machine's quotes.
+// -emit-server DIR writes the deployment into DIR/<label>, the
+// measurement's 8-hex label; elide-server -dir DIR serves every deployment
+// under DIR, and re-emitting an enclave replaces its deployment in place.
+// Without -connect, elide-run serves the same deployment in-process.
 //
 // -connect takes one address or a comma-separated fleet: either way the
 // runtime dials through a failover pool. For availability, run several
@@ -53,7 +57,7 @@ func main() {
 		edlPath     = flag.String("edl", "", "the application EDL file")
 		caPath      = flag.String("ca", "machine_ca.pem", "machine attestation root (created if missing)")
 		connect     = flag.String("connect", "", "comma-separated authentication server addresses, dialed as a failover pool (empty = in-process server)")
-		emitServer  = flag.String("emit-server", "", "write the server-side files to this directory and exit")
+		emitServer  = flag.String("emit-server", "", "write this enclave's deployment into a subdirectory of this deployments directory and exit")
 		ecallName   = flag.String("ecall", "", "ecall to invoke after restoring")
 		flags       = flag.Uint64("flags", 0, "elide_restore flags (1 = try sealed, 2 = seal after)")
 		dialTimeout = flag.Duration("dial-timeout", elide.DefaultDialTimeout, "server connection timeout")
@@ -87,19 +91,26 @@ func main() {
 	check(gob.NewDecoder(ssFile).Decode(&ss))
 	_ = ssFile.Close() // read-only; the decode above already succeeded
 
+	prot := &elide.Protected{
+		SanitizedELF: sanitized,
+		SigStruct:    &ss,
+		Measurement:  ss.MrEnclave,
+		Meta:         meta,
+		SecretData:   secretData,
+	}
+	// The plaintext copy of a hybrid build lives only where the server
+	// runs: read it to emit the server files or to serve in-process.
+	if meta.Hybrid && (*emitServer != "" || *connect == "") {
+		prot.SecretPlain, err = os.ReadFile(filepath.Join(*dir, elide.FileSecretPlain))
+		check(err)
+	}
+
 	if *emitServer != "" {
-		prot := &elide.Protected{
-			SanitizedELF: sanitized,
-			Measurement:  ss.MrEnclave,
-			Meta:         meta,
-			SecretData:   secretData,
-		}
-		if meta.Hybrid {
-			prot.SecretPlain, err = os.ReadFile(filepath.Join(*dir, elide.FileSecretPlain))
-			check(err)
-		}
-		check(prot.WriteServerFiles(*emitServer, ca.PublicKey()))
-		fmt.Printf("elide-run: wrote server files to %s (start elide-server -dir %s)\n", *emitServer, *emitServer)
+		// One subdirectory per enclave, named by the measurement's label
+		// as the server's store lists it.
+		out := filepath.Join(*emitServer, elide.MeasurementLabel(prot.Measurement))
+		check(prot.WriteServerFiles(out, ca.PublicKey()))
+		fmt.Printf("elide-run: wrote server files to %s (start elide-server -dir %s)\n", out, *emitServer)
 		return
 	}
 
@@ -108,7 +119,7 @@ func main() {
 	}
 	edlText, err := os.ReadFile(*edlPath)
 	check(err)
-	iface, err := elide.MergeEDL(string(edlText))
+	prot.EDL, err = elide.MergeEDL(string(edlText))
 	check(err)
 
 	platform, err := sgx.NewPlatform(sgx.Config{}, ca)
@@ -152,18 +163,10 @@ func main() {
 		client = fc
 		fmt.Printf("elide-run: authentication servers %s (retries=%d)\n", *connect, *retries)
 	} else {
-		cfg := elide.ServerConfig{
-			CAPub:             ca.PublicKey(),
-			ExpectedMrEnclave: ss.MrEnclave,
-			Meta:              meta,
-		}
-		if !meta.Encrypted {
-			cfg.SecretPlain = secretData
-		}
 		// In-process mode shares one tracer and audit log across both
 		// hops, so the exported trace shows the server's session spans
 		// joined into the launch trace.
-		srv, err := elide.NewServer(cfg,
+		srv, err := prot.NewServerFor(ca,
 			elide.WithServerTracer(tracer),
 			elide.WithServerAudit(audit),
 		)
@@ -173,14 +176,9 @@ func main() {
 		fmt.Println("elide-run: using in-process authentication server")
 	}
 
-	files := &elide.FileStore{}
-	if meta.Encrypted {
-		files.SecretData = secretData
-	}
-	rt := &elide.Runtime{Client: client, Files: files, Ctx: ctx, Metrics: metrics, Audit: audit}
-	rt.Install(host)
-	encl, err := host.CreateEnclave(sanitized, &ss, iface)
+	encl, rt, err := prot.LaunchContext(ctx, host, client, prot.LocalFiles())
 	check(err)
+	rt.Audit = audit
 	fmt.Printf("elide-run: enclave initialized, MRENCLAVE %x...\n", encl.Encl.MrEnclave[:8])
 
 	// Every mode runs through the resilient driver, so each protocol run has

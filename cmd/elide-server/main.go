@@ -1,27 +1,27 @@
 // elide-server is the SgxElide authentication server daemon (the artifact's
-// server.py): it holds the secret metadata (and, in remote-data mode, the
-// secret data), verifies each enclave's quote against the pinned CA and the
-// expected sanitized measurement, and answers REQUEST_META / REQUEST_DATA
-// over AES-GCM channels.
+// server.py): it holds the secret metadata (and, in remote-data and hybrid
+// mode, the secret data), verifies each enclave's quote against the pinned
+// CA and the expected sanitized measurement, and answers REQUEST_META /
+// REQUEST_DATA over AES-GCM channels.
 //
 //	elide-server -dir serverfiles -listen 127.0.0.1:7788
 //
-// The serverfiles directory is produced by the deployment pipeline (see
-// examples/remoteattest or Protected.WriteServerFiles).
+// -dir is a directory of deployments, one subdirectory per sanitized
+// enclave, each in the Protected.WriteServerFiles layout; elide-run
+// -emit-server serverfiles writes one named after the measurement's 8-hex
+// label:
 //
-// With -secrets-dir the daemon serves many sanitized enclaves at once: the
-// directory holds one deployment subdirectory per enclave (each in the
-// WriteServerFiles layout), secrets are released strictly by attested
-// MRENCLAVE, and the directory is re-scanned every -rescan-interval so
-// deployments added, replaced, or deleted on disk are picked up without a
-// restart:
+//	serverfiles/2ac39a3d/  ca_pub.pem enclave.mrenclave enclave.secret.meta [enclave.secret.data]
 //
-//	elide-server -secrets-dir deployments -listen 127.0.0.1:7788
+// One daemon serves every deployment in it: secrets are released strictly
+// by attested MRENCLAVE, and the directory is re-scanned every
+// -rescan-interval so deployments added, replaced, or deleted on disk are
+// picked up without a restart.
 //
 // Replication is share-nothing for secrets: for availability, start several
-// daemons on the same serverfiles (or secrets) directory under different
-// -listen addresses — possibly on different hosts, each with its own copy
-// of the files — and give clients the whole fleet via elide-run -connect.
+// daemons on the same deployments directory under different -listen
+// addresses — possibly on different hosts, each with its own copy of the
+// files — and give clients the whole fleet via elide-run -connect.
 // Every replica can answer any restore independently. Session state is
 // per-replica by default (after a failover the client pays a full
 // re-attest). With a shared -fleet-key and -gossip-advertise the replicas
@@ -68,9 +68,8 @@ import (
 
 func main() {
 	var (
-		dir          = flag.String("dir", "serverfiles", "directory with ca_pub.pem, enclave.mrenclave, enclave.secret.meta[, enclave.secret.data]")
-		secretsDir   = flag.String("secrets-dir", "", "multi-enclave mode: directory of per-enclave deployment subdirs (overrides -dir)")
-		rescanEvery  = flag.Duration("rescan-interval", 30*time.Second, "how often -secrets-dir is re-scanned for new/changed/removed deployments (0 = never)")
+		dir          = flag.String("dir", "serverfiles", "deployments directory: one subdirectory per enclave with ca_pub.pem, enclave.mrenclave, enclave.secret.meta[, enclave.secret.data]")
+		rescanEvery  = flag.Duration("rescan-interval", 30*time.Second, "how often -dir is re-scanned for new/changed/removed deployments (0 = never)")
 		listen       = flag.String("listen", "127.0.0.1:7788", "listen address")
 		adminAddr    = flag.String("admin-addr", "", "telemetry HTTP listen address for /metrics, /healthz, /trace, /debug/pprof (empty = disabled)")
 		maxSessions  = flag.Int("max-sessions", 256, "maximum concurrent sessions")
@@ -148,66 +147,37 @@ func main() {
 		fmt.Printf("elide-server: fleet member %s, seeds [%s] (gossip interval %s, suspect timeout %s)\n",
 			*gossipAdvertise, strings.Join(seeds, ", "), *gossipInterval, *suspectTimeout)
 	}
-	var srv *elide.Server
-	var err error
-	if *secretsDir != "" {
-		store := elide.NewSecretStore()
-		store.SetAuditLog(audit)
-		rep, err := store.LoadDir(*secretsDir)
-		if err != nil {
-			fatal(err)
-		}
-		for name, lerr := range rep.Failed {
-			fmt.Fprintf(os.Stderr, "elide-server: skipping deployment %s: %v\n", name, lerr)
-		}
-		if store.Len() == 0 {
-			fatal(fmt.Errorf("elide-server: no loadable deployments under %s", *secretsDir))
-		}
-		srv, err = elide.NewMultiServer(store.CA(), store, opts...)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		cfg, err := elide.LoadServerConfig(*dir)
-		if err != nil {
-			fatal(err)
-		}
-		srv, err = elide.NewServer(cfg, opts...)
-		if err != nil {
-			fatal(err)
-		}
+	store := elide.NewSecretStore()
+	store.SetAuditLog(audit)
+	rep, err := store.LoadDir(*dir)
+	if err != nil {
+		fatal(err)
+	}
+	for name, lerr := range rep.Failed {
+		fmt.Fprintf(os.Stderr, "elide-server: skipping deployment %s: %v\n", name, lerr)
+	}
+	if store.Len() == 0 {
+		fatal(fmt.Errorf("elide-server: no loadable deployment under %s: -dir holds one subdirectory per enclave, %s/<name>/{%s,%s,%s[,%s]}, as elide-run -emit-server %s writes it",
+			*dir, *dir, elide.FileCAPub, elide.FileMeasurement, elide.FileSecretMeta, elide.FileSecretData, *dir))
+	}
+	srv, err := elide.NewMultiServer(store.CA(), store, opts...)
+	if err != nil {
+		fatal(err)
 	}
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fatal(err)
 	}
-	if *secretsDir != "" {
-		fmt.Printf("elide-server: multi-enclave mode, %d deployments from %s, listening on %s\n",
-			srv.Store().Len(), *secretsDir, l.Addr())
-		for _, e := range srv.Store().Entries() {
-			printEntry(e)
-		}
-	} else {
-		e := srv.Store().Entries()[0]
-		mode := "remote-data"
-		if e.Meta.Encrypted {
-			mode = "local-data (serving metadata + key only)"
-		}
-		fmt.Printf("elide-server: %s mode, expecting MRENCLAVE %x..., listening on %s\n",
-			mode, e.MrEnclave[:8], l.Addr())
-	}
+	fmt.Printf("elide-server: %d deployments from %s, listening on %s\n", store.Len(), *dir, l.Addr())
+	printEntries(store)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *secretsDir != "" && *rescanEvery > 0 {
-		go srv.Store().Watch(ctx, *secretsDir, *rescanEvery, func(rep elide.DirReport) {
-			fmt.Printf("elide-server: rescan of %s: %s\n", *secretsDir, rep)
-			for _, e := range srv.Store().Entries() {
-				printEntry(e)
-			}
-		})
-	}
+	go store.Watch(ctx, *dir, *rescanEvery, func(rep elide.DirReport) {
+		fmt.Printf("elide-server: rescan of %s: %s\n", *dir, rep)
+		printEntries(store)
+	})
 
 	if *adminAddr != "" {
 		al, err := net.Listen("tcp", *adminAddr)
@@ -216,7 +186,7 @@ func main() {
 		}
 		admin := &http.Server{Handler: obs.AdminHandler(metrics, tracer, "sgxelide",
 			obs.WithAuditLog(audit),
-			obs.WithHealthCheck("store", srv.Store().HealthCheck),
+			obs.WithHealthCheck("store", store.HealthCheck),
 			obs.WithHealthCheck("replication", srv.ReplicationHealth),
 		)}
 		go func() {
@@ -336,17 +306,18 @@ func loadFleetKey(path string) ([]byte, error) {
 	return nil, fmt.Errorf("elide-server: -fleet-key %s holds %d key bytes; want 16, 24, or 32", path, len(key))
 }
 
-// printEntry lists one registered deployment.
-func printEntry(e *elide.SecretEntry) {
-	mode := "remote-data"
-	if e.Meta.Encrypted {
-		mode = "local-data"
+// printEntries lists the registered deployments and the data mode of each.
+func printEntries(store *elide.SecretStore) {
+	for _, e := range store.Entries() {
+		mode := "remote-data"
+		switch {
+		case e.Meta.Hybrid:
+			mode = "hybrid"
+		case e.Meta.Encrypted:
+			mode = "local-data"
+		}
+		fmt.Printf("elide-server:   %s  MRENCLAVE %x...  %s\n", e.Name, e.MrEnclave[:8], mode)
 	}
-	name := e.Name
-	if name == "" {
-		name = "(manual)"
-	}
-	fmt.Printf("elide-server:   %s  MRENCLAVE %x...  %s\n", name, e.MrEnclave[:8], mode)
 }
 
 func fatal(err error) {

@@ -106,7 +106,7 @@ func Default() *Config {
 			{Type: re(`(^|\.)(Quote|Report|SigStruct|SecretEntry)$`), Field: re(`^(MrEnclave|MrSigner|EnclaveHash)$`)},
 			{Type: re(`(^|\.)Session$`), Field: re(`^channelKey$`)},
 			{Type: re(`(^|\.)ResumeRecord$`), Field: re(`^ChannelKey$`)},
-			{Type: re(`(^|\.)(SecretEntry|ServerConfig|SanitizeResult|DeployedSecrets)$`), Field: re(`^SecretPlain$`)},
+			{Type: re(`(^|\.)(SecretEntry|SanitizeResult|DeployedSecrets)$`), Field: re(`^SecretPlain$`)},
 		},
 		CompareFuncs: []FuncPattern{
 			{Func: re(`(^|\.)(AESGCMOpen|ChannelOpen|sealDecrypt)$`), Result: 0},
@@ -121,7 +121,7 @@ func Default() *Config {
 			{Type: re(`(^|\.)SecretMeta$`), Field: re(`^Key$`)},
 			{Type: re(`(^|\.)Session$`), Field: re(`^channelKey$`)},
 			{Type: re(`(^|\.)ResumeRecord$`), Field: re(`^ChannelKey$`)},
-			{Type: re(`(^|\.)(SecretEntry|ServerConfig|SanitizeResult|DeployedSecrets)$`), Field: re(`^SecretPlain$`)},
+			{Type: re(`(^|\.)(SecretEntry|SanitizeResult|DeployedSecrets)$`), Field: re(`^SecretPlain$`)},
 		},
 		FlowFuncs: []FuncPattern{
 			{Func: re(`(^|\.)(AESGCMOpen|ChannelOpen|sealDecrypt)$`), Result: 0},

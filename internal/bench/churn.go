@@ -27,7 +27,7 @@ type ChurnConfig struct {
 	Sessions       int           // sessions pre-established on replica 0; default 8
 	GossipInterval time.Duration // fleet gossip tick; default 25ms
 	SuspectTimeout time.Duration // suspicion expiry; default 150ms
-	Timeout        time.Duration // per-restore deadline; default 2m
+	Timeout        time.Duration // per-restore and per-phase deadline; default 2m
 }
 
 // ChurnResult is the JSON document elide-bench -churn writes to
@@ -197,11 +197,13 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 
 	// Pre-establish the sessions the cold-added member must later resume
 	// without re-attesting, and wait for the push layer to fan them out.
+	// The attest and resume phases each get cfg.Timeout from their own
+	// start: the resume phase runs only after the whole restore phase.
 	sessions := make([]resumeSession, cfg.Sessions)
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
-	defer cancel()
+	attestCtx, attestCancel := context.WithTimeout(context.Background(), cfg.Timeout)
+	defer attestCancel()
 	for i := range sessions {
-		if sessions[i], err = attestSession(ctx, replicas[0].addr, quoter, cfg.Timeout); err != nil {
+		if sessions[i], err = attestSession(attestCtx, replicas[0].addr, quoter, cfg.Timeout); err != nil {
 			return nil, fmt.Errorf("bench: session %d attest: %w", i, err)
 		}
 	}
@@ -309,8 +311,10 @@ func ChurnBench(env *Env, cfg ChurnConfig) (*ChurnResult, error) {
 	// the pool, which would falsely inflate a mid-run reading.)
 	attestsBefore := addedMetrics.Counter("server.attest_ok").Load()
 	wantMeta := prot.Meta.Marshal()
+	resumeCtx, resumeCancel := context.WithTimeout(context.Background(), cfg.Timeout)
+	defer resumeCancel()
 	for i := range sessions {
-		resumed, _, err := sessions[i].resumeOn(ctx, added.addr, wantMeta, cfg.Timeout)
+		resumed, _, err := sessions[i].resumeOn(resumeCtx, added.addr, wantMeta, cfg.Timeout)
 		if err != nil {
 			return nil, fmt.Errorf("bench: session %d on the added member: %w", i, err)
 		}

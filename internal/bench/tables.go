@@ -7,11 +7,9 @@ import (
 	"strings"
 	"time"
 
-	"sgxelide/internal/edl"
 	"sgxelide/internal/elf"
 	"sgxelide/internal/elide"
 	"sgxelide/internal/sdk"
-	"sgxelide/internal/sgx"
 )
 
 // elideUCGlueLOC is the untrusted code a developer adds to use SgxElide:
@@ -212,7 +210,7 @@ func Figures(env *Env, local bool, iters int) ([]FigureRow, error) {
 		var baseTimes, protTimes []time.Duration
 		for i := 0; i < iters; i++ {
 			start := time.Now()
-			encl, err := BuildBaselineLoadOnly(env, p)
+			encl, err := BuildBaseline(env, p)
 			if err != nil {
 				return nil, err
 			}
@@ -251,47 +249,6 @@ func Figures(env *Env, local bool, iters int) ([]FigureRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// baselineImages caches built and signed baseline enclaves per program, so
-// the timed region of a Figures run is what `time ./app` measures — enclave
-// loading plus the workload — not compilation.
-var baselineImages = map[string]*baselineImage{}
-
-type baselineImage struct {
-	elf   []byte
-	ss    *sgx.SigStruct
-	iface *edl.Interface
-}
-
-// BuildBaselineLoadOnly loads a (cached) baseline enclave image.
-func BuildBaselineLoadOnly(env *Env, p *Program) (*sdk.Enclave, error) {
-	img, ok := baselineImages[p.Name]
-	if !ok {
-		key, _, err := Fixtures()
-		if err != nil {
-			return nil, err
-		}
-		iface, err := edl.Parse(p.EDL)
-		if err != nil {
-			return nil, err
-		}
-		res, err := sdk.BuildEnclave(sdk.BuildConfig{}, iface, sdk.C(p.Name+".c", p.TrustedC))
-		if err != nil {
-			return nil, err
-		}
-		mr, err := sdk.MeasureELF(env.Host, res.ELF)
-		if err != nil {
-			return nil, err
-		}
-		ss, err := sgx.SignEnclave(key, mr, 1, 1)
-		if err != nil {
-			return nil, err
-		}
-		img = &baselineImage{elf: res.ELF, ss: ss, iface: iface}
-		baselineImages[p.Name] = img
-	}
-	return env.Host.CreateEnclave(img.elf, img.ss, img.iface)
 }
 
 // --- rendering ---

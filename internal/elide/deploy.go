@@ -32,7 +32,8 @@ type BuildProtectedOptions struct {
 
 // Protected is a built, sanitized, signed enclave plus its secrets — the
 // developer's distributables. SanitizedELF + SigStruct (+ SecretData in
-// local mode) ship to users; Meta (+ SecretData in remote mode) goes to the
+// local and hybrid mode) ship to users; Meta (+ the plaintext data in
+// remote and hybrid mode, as serverData picks it) goes to the
 // authentication server.
 type Protected struct {
 	PlainELF     []byte // pre-sanitization image (never shipped; kept for tests)
@@ -101,21 +102,29 @@ func BuildProtected(h *sdk.Host, opts BuildProtectedOptions) (*Protected, error)
 	}, nil
 }
 
-// NewServerFor builds the authentication server for this deployment,
-// pinning the given attestation CA. Options configure the serving policy
-// (session cap, timeouts, metrics).
+// serverData is the one place that decides which plaintext secret data
+// the authentication server releases for this deployment: SecretData in
+// remote-data mode, the SecretPlain copy in hybrid mode, and nil in
+// local-data mode, where the server releases only the metadata and its key.
+func (p *Protected) serverData() []byte {
+	switch {
+	case !p.Meta.Encrypted:
+		return p.SecretData
+	case p.Meta.Hybrid:
+		return p.SecretPlain
+	}
+	return nil
+}
+
+// NewServerFor builds the authentication server for this deployment: a
+// store holding its one entry, pinning the given attestation CA. Options
+// configure the serving policy (session cap, timeouts, metrics).
 func (p *Protected) NewServerFor(ca *sgx.CA, opts ...ServerOption) (*Server, error) {
-	cfg := ServerConfig{
-		CAPub:             ca.PublicKey(),
-		ExpectedMrEnclave: p.Measurement,
-		Meta:              p.Meta,
+	st := NewSecretStore()
+	if _, err := st.Register(p.Measurement, p.Meta, p.serverData(), ""); err != nil {
+		return nil, err
 	}
-	if !p.Meta.Encrypted {
-		cfg.SecretPlain = p.SecretData
-	} else if p.Meta.Hybrid {
-		cfg.SecretPlain = p.SecretPlain
-	}
-	return NewServer(cfg, opts...)
+	return NewMultiServer(ca.PublicKey(), st, opts...)
 }
 
 // LocalFiles returns the file store a user machine would hold: the

@@ -127,10 +127,16 @@ func (m *SecretMeta) Marshal() []byte {
 	return out
 }
 
-// UnmarshalMeta parses a meta blob.
+// UnmarshalMeta parses a meta blob. It refuses flags Marshal never writes:
+// unknown bits 3–7, and hybrid without encrypted (Sanitize encrypts every
+// hybrid build's local copy, and the enclave's local fallback would fetch
+// from the server again).
 func UnmarshalMeta(b []byte) (*SecretMeta, error) {
 	if len(b) != MetaBlobSize {
 		return nil, fmt.Errorf("elide: meta blob is %d bytes, want %d", len(b), MetaBlobSize)
+	}
+	if flags := b[16]; flags&^7 != 0 || (flags&4 != 0 && flags&1 == 0) {
+		return nil, fmt.Errorf("elide: meta flags 0x%02x are not a valid data mode", flags)
 	}
 	m := &SecretMeta{
 		DataLen:       binary.LittleEndian.Uint64(b[0:]),

@@ -517,12 +517,11 @@ func TestRestoreNeedsWritableText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ServerConfig{
-		CAPub:             ca.PublicKey(),
-		ExpectedMrEnclave: mr,
-		Meta:              p.Meta,
-		SecretPlain:       p.SecretData,
-	})
+	st := NewSecretStore()
+	if _, err := st.Register(mr, p.Meta, p.SecretData, ""); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewMultiServer(ca.PublicKey(), st)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,8 @@ type Endpoint struct {
 	state       int32
 	consecFails int
 	openedAt    time.Time
-	probing     bool // a half-open probe is in flight
+	probing     bool  // a half-open probe is in flight
+	lastErr     error // the latest transient failure: what an open breaker reports
 
 	// health is an EWMA of the success indicator (1 success, 0 failure),
 	// starting optimistic at 1; latency is an EWMA of operation time in
@@ -192,12 +193,14 @@ func (p *EndpointPool) pick(exclude map[*Endpoint]bool) *Endpoint {
 	return nil
 }
 
-// record feeds one operation's outcome into the endpoint's health view
-// and drives the breaker state machine.
-func (p *EndpointPool) record(e *Endpoint, ok bool, dur time.Duration) {
+// record feeds one operation's outcome, nil on success or else the
+// failure, into the endpoint's health view and drives the breaker state
+// machine. The endpoint keeps its latest failure: what an open breaker
+// reports.
+func (p *EndpointPool) record(e *Endpoint, fail error, dur time.Duration) {
 	a := healthAlpha
 	e.mu.Lock()
-	if ok {
+	if fail == nil {
 		e.consecFails = 0
 		e.health = a*1 + (1-a)*e.health
 		e.latency = a*float64(dur.Nanoseconds()) + (1-a)*e.latency
@@ -214,6 +217,7 @@ func (p *EndpointPool) record(e *Endpoint, ok bool, dur time.Duration) {
 		p.count(fmt.Sprintf("failover.ok.ep_%d", e.index))
 		return
 	}
+	e.lastErr = fail
 	e.consecFails++
 	fails := e.consecFails
 	e.health = (1 - a) * e.health
@@ -252,7 +256,14 @@ func (p *EndpointPool) count(name string) { p.opt.metrics.Counter(name).Inc() }
 // answered — even to refuse or to shed — is healthy for breaker purposes.
 func (p *EndpointPool) settle(e *Endpoint, err error, start time.Time) bool {
 	transient, shed := isTransient(err), errors.Is(err, ErrOverloaded)
-	p.record(e, !transient, time.Since(start))
+	var fail error
+	if transient {
+		fail = err
+		if ue, ok := err.(*unavailableError); ok && ue.last != nil {
+			fail = ue.last // the endpoint client's single attempt
+		}
+	}
+	p.record(e, fail, time.Since(start))
 	if shed {
 		p.count("failover.overloaded") // alive but shedding: a replica may have quota to spare
 	}
@@ -261,15 +272,27 @@ func (p *EndpointPool) settle(e *Endpoint, err error, start time.Time) bool {
 
 // exhausted is the error of a pass that got no answer: the last endpoint's
 // failure, or, when the breakers admitted no endpoint at all, an error
-// naming them. Either is transient, so a spent budget reports it wrapped
-// in ErrServerUnavailable.
+// naming them and the failure that opened each. Either is transient, so a
+// spent budget reports it wrapped in ErrServerUnavailable.
 func (p *EndpointPool) exhausted(last error) error {
 	if errors.Is(last, ErrOverloaded) {
 		return last
 	}
 	p.count("failover.exhausted")
 	if last == nil {
-		return fmt.Errorf("elide: no endpoint admitted: %v", p.HealthCheck())
+		var open []string
+		var causes string
+		for _, e := range p.Endpoints() {
+			e.mu.Lock()
+			if e.state != BreakerClosed {
+				open = append(open, e.Addr)
+				if e.lastErr != nil {
+					causes += fmt.Sprintf("; %s: %v", e.Addr, e.lastErr)
+				}
+			}
+			e.mu.Unlock()
+		}
+		return fmt.Errorf("elide: no endpoint admitted: open circuit breakers: %v%s", open, causes)
 	}
 	return last
 }

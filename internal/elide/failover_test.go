@@ -14,6 +14,9 @@ import (
 	"sgxelide/internal/sgx"
 )
 
+// errDown is the failure the breaker tests record.
+var errDown = errors.New("down")
+
 // fakeEndpoint is a scriptable per-endpoint Client for pool tests.
 type fakeEndpoint struct {
 	mu       sync.Mutex
@@ -90,11 +93,11 @@ func TestBreakerStateMachine(t *testing.T) {
 	if got := pool.pick(nil); got != ep {
 		t.Fatal("closed endpoint not picked")
 	}
-	pool.record(ep, false, time.Millisecond)
+	pool.record(ep, errDown, time.Millisecond)
 	if ep.State() != BreakerClosed {
 		t.Fatal("one failure tripped a threshold-2 breaker")
 	}
-	pool.record(ep, false, time.Millisecond)
+	pool.record(ep, errDown, time.Millisecond)
 	if ep.State() != BreakerOpen {
 		t.Fatal("threshold failures did not trip the breaker")
 	}
@@ -112,7 +115,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("second probe admitted while one is in flight")
 	}
 	// Failed probe: straight back to open.
-	pool.record(ep, false, time.Millisecond)
+	pool.record(ep, errDown, time.Millisecond)
 	if ep.State() != BreakerOpen {
 		t.Fatal("failed probe did not reopen the breaker")
 	}
@@ -121,7 +124,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if got := pool.pick(nil); got != ep {
 		t.Fatal("no second probe after the fresh cooldown")
 	}
-	pool.record(ep, true, time.Millisecond)
+	pool.record(ep, nil, time.Millisecond)
 	if ep.State() != BreakerClosed {
 		t.Fatal("successful probe did not close the breaker")
 	}
@@ -135,8 +138,8 @@ func TestBreakerStateMachine(t *testing.T) {
 func TestPoolPickPrefersHealth(t *testing.T) {
 	pool := NewEndpointPool([]string{"a", "b"}, WithBreakerThreshold(10))
 	a, b := pool.endpoints[0], pool.endpoints[1]
-	pool.record(a, false, time.Millisecond) // a: health 0.7
-	pool.record(b, true, time.Millisecond)  // b: health 1.0
+	pool.record(a, errDown, time.Millisecond) // a: health 0.7
+	pool.record(b, nil, time.Millisecond)     // b: health 1.0
 	if got := pool.pick(nil); got != b {
 		t.Fatalf("picked %q, want the healthier %q", got.Addr, b.Addr)
 	}
@@ -306,6 +309,29 @@ func TestFailoverBreakersOpenNamed(t *testing.T) {
 	}
 	if ep0.attests != 1 {
 		t.Fatalf("endpoint attested %d times, want 1 (its breaker is open)", ep0.attests)
+	}
+}
+
+// TestFailoverBreakerKeepsCause: a dead endpoint retried until its
+// breaker opens still reports why it failed, not only that the breaker is
+// open.
+func TestFailoverBreakerKeepsCause(t *testing.T) {
+	l := listen(t)
+	addr := l.Addr().String()
+	l.Close()
+	fc, err := NewFailoverClient([]string{addr}, WithEndpointClientOptions(fastRetry(3)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	_, err = fc.Attest(context.Background(), &sgx.Quote{}, []byte("cpub"))
+	if !errors.Is(err, ErrServerUnavailable) {
+		t.Fatalf("err = %v, want ErrServerUnavailable", err)
+	}
+	for _, want := range []string{"open circuit breakers", "connection refused"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error lacks %q: %v", want, err)
+		}
 	}
 }
 

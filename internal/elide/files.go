@@ -5,7 +5,9 @@ import (
 	"crypto/x509"
 	"encoding/hex"
 	"encoding/pem"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,8 +26,8 @@ const (
 
 // atomicWriteFile writes data to path via a same-directory temp file and
 // rename, so a crash mid-write can never leave a torn file at path — the
-// server (and the secrets-dir re-scan) would otherwise happily load a
-// half-written secret.
+// server's directory scan would otherwise happily load a half-written
+// secret.
 func atomicWriteFile(path string, data []byte, perm os.FileMode) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -46,12 +48,17 @@ func atomicWriteFile(path string, data []byte, perm os.FileMode) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// WriteServerFiles writes everything the authentication server needs into
-// dir: the CA public key, the expected (sanitized) measurement, the secret
-// metadata, and — in remote-data mode — the plaintext secret data. Each
-// file is written atomically (temp file + rename), so a crash mid-write
-// cannot leave a torn secret for the server to load; this also makes it
-// safe to (re)deploy into a directory a running server is watching.
+// WriteServerFiles writes one deployment, everything the authentication
+// server needs for this enclave, into dir: the CA public key, the expected
+// (sanitized) measurement, the secret metadata, and the plaintext secret
+// data the server releases (remote-data and hybrid mode; a local-data
+// deployment removes the data file of one it replaces in place). A server
+// loads dir as one subdirectory of its deployments directory
+// (SecretStore.LoadDir). Each file is written atomically (temp file +
+// rename), so a crash mid-write cannot leave a torn secret for the server
+// to load. Writing into a directory a running server watches is safe too:
+// the data file is written before the metadata and removed only after it,
+// so a rescan never finds a metadata file without the data it needs.
 func (p *Protected) WriteServerFiles(dir string, caPub *ecdsa.PublicKey) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -64,71 +71,80 @@ func (p *Protected) WriteServerFiles(dir string, caPub *ecdsa.PublicKey) error {
 	if err := atomicWriteFile(filepath.Join(dir, FileCAPub), pemBytes, 0o644); err != nil {
 		return err
 	}
+	dataPath := filepath.Join(dir, FileSecretData)
+	data := p.serverData()
+	if data != nil {
+		if err := atomicWriteFile(dataPath, data, 0o600); err != nil {
+			return err
+		}
+	}
 	if err := atomicWriteFile(filepath.Join(dir, FileSecretMeta), p.Meta.Marshal(), 0o600); err != nil {
 		return err
 	}
-	if !p.Meta.Encrypted {
-		if err := atomicWriteFile(filepath.Join(dir, FileSecretData), p.SecretData, 0o600); err != nil {
-			return err
-		}
-	} else if p.Meta.Hybrid {
-		// Hybrid deployments serve the data remotely too: the server's copy
-		// is the plaintext, the user's local file stays ciphertext.
-		if err := atomicWriteFile(filepath.Join(dir, FileSecretData), p.SecretPlain, 0o600); err != nil {
+	if data == nil {
+		if err := os.Remove(dataPath); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
 		}
 	}
-	// The measurement file last: its presence marks the deployment subdir
-	// as loadable, so a watcher scanning mid-deploy sees either nothing or
-	// a complete deployment.
+	// The measurement file last: its presence marks a new deployment
+	// subdir as loadable, so a watcher scanning mid-deploy sees either
+	// nothing or a complete deployment.
 	mr := hex.EncodeToString(p.Measurement[:]) + "\n"
 	return atomicWriteFile(filepath.Join(dir, FileMeasurement), []byte(mr), 0o644)
 }
 
-// LoadServerConfig reads the files written by WriteServerFiles.
-func LoadServerConfig(dir string) (ServerConfig, error) {
-	var cfg ServerConfig
+// loadDeployment reads one deployment subdirectory in the WriteServerFiles
+// layout: it returns the attestation CA the deployment pins and an
+// unregistered store entry, named after the subdirectory, holding the
+// secrets the server releases to the deployment's measurement.
+func loadDeployment(dir string) (*ecdsa.PublicKey, *SecretEntry, error) {
 	pemBytes, err := os.ReadFile(filepath.Join(dir, FileCAPub))
 	if err != nil {
-		return cfg, err
+		return nil, nil, err
 	}
 	block, _ := pem.Decode(pemBytes)
 	if block == nil {
-		return cfg, fmt.Errorf("elide: %s is not PEM", FileCAPub)
+		return nil, nil, fmt.Errorf("elide: %s is not PEM", FileCAPub)
 	}
 	pub, err := x509.ParsePKIXPublicKey(block.Bytes)
 	if err != nil {
-		return cfg, fmt.Errorf("elide: parsing CA key: %w", err)
+		return nil, nil, fmt.Errorf("elide: parsing CA key: %w", err)
 	}
-	ecPub, ok := pub.(*ecdsa.PublicKey)
+	caPub, ok := pub.(*ecdsa.PublicKey)
 	if !ok {
-		return cfg, fmt.Errorf("elide: CA key is not ECDSA")
+		return nil, nil, fmt.Errorf("elide: CA key is not ECDSA")
 	}
-	cfg.CAPub = ecPub
 
 	mrText, err := os.ReadFile(filepath.Join(dir, FileMeasurement))
 	if err != nil {
-		return cfg, err
+		return nil, nil, err
 	}
 	mrBytes, err := hex.DecodeString(strings.TrimSpace(string(mrText)))
 	if err != nil || len(mrBytes) != 32 {
-		return cfg, fmt.Errorf("elide: bad measurement file")
+		return nil, nil, fmt.Errorf("elide: bad measurement file")
 	}
-	copy(cfg.ExpectedMrEnclave[:], mrBytes)
+	var mr [32]byte
+	copy(mr[:], mrBytes)
 
 	metaBytes, err := os.ReadFile(filepath.Join(dir, FileSecretMeta))
 	if err != nil {
-		return cfg, err
+		return nil, nil, err
 	}
-	cfg.Meta, err = UnmarshalMeta(metaBytes)
+	meta, err := UnmarshalMeta(metaBytes)
 	if err != nil {
-		return cfg, err
+		return nil, nil, err
 	}
-	if !cfg.Meta.Encrypted || cfg.Meta.Hybrid {
-		cfg.SecretPlain, err = os.ReadFile(filepath.Join(dir, FileSecretData))
-		if err != nil {
-			return cfg, err
+	var plain []byte
+	if !meta.Encrypted || meta.Hybrid {
+		if plain, err = os.ReadFile(filepath.Join(dir, FileSecretData)); err != nil {
+			return nil, nil, err
 		}
 	}
-	return cfg, nil
+	name := filepath.Base(dir)
+	e, err := newEntry(mr, meta, plain, name)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.dir = name
+	return caPub, e, nil
 }

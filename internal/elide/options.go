@@ -122,7 +122,8 @@ func WithDialer(dial func(ctx context.Context, addr string) (net.Conn, error)) C
 
 // --- ServerOption (Server) ---
 
-// ServerOption configures a Server beyond its ServerConfig.
+// ServerOption configures a Server's serving policy beyond its CA and
+// secret store.
 type ServerOption func(*serverOptions)
 
 // WithMaxSessions caps concurrent TCP sessions; further accepts block until

@@ -2,6 +2,10 @@ package elide
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"sgxelide/internal/elf"
@@ -83,37 +87,52 @@ func readEnclave(t *testing.T, encl *sdk.Enclave, addr uint64, n int) []byte {
 }
 
 // TestServerFilesRoundTrip checks the CLI file formats: what
-// WriteServerFiles emits, LoadServerConfig reproduces.
+// WriteServerFiles emits, loadDeployment reproduces, in each data mode,
+// first into a fresh directory and then replacing the deployment of
+// another mode in place.
 func TestServerFilesRoundTrip(t *testing.T) {
 	ca, h := env(t)
-	for _, local := range []bool{false, true} {
-		p := buildApp(t, h, SanitizeOptions{EncryptLocal: local})
-		dir := t.TempDir()
+	roundTrip := func(dir string, p *Protected) {
+		t.Helper()
 		if err := p.WriteServerFiles(dir, ca.PublicKey()); err != nil {
 			t.Fatal(err)
 		}
-		cfg, err := LoadServerConfig(dir)
+		caPub, e, err := loadDeployment(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cfg.ExpectedMrEnclave != p.Measurement {
+		if e.MrEnclave != p.Measurement {
 			t.Error("measurement lost")
 		}
-		if *cfg.Meta != *p.Meta {
-			t.Errorf("meta lost: %+v vs %+v", cfg.Meta, p.Meta)
+		if *e.Meta != *p.Meta {
+			t.Errorf("meta lost: %+v vs %+v", e.Meta, p.Meta)
 		}
-		if local {
-			if cfg.SecretPlain != nil {
+		switch {
+		case !p.Meta.Encrypted:
+			if !bytes.Equal(e.SecretPlain, p.SecretData) {
+				t.Error("secret data lost")
+			}
+		case p.Meta.Hybrid:
+			if !bytes.Equal(e.SecretPlain, p.SecretPlain) {
+				t.Error("hybrid plaintext lost")
+			}
+		default:
+			if e.SecretPlain != nil {
 				t.Error("local mode should not load plaintext data")
 			}
-		} else if !bytes.Equal(cfg.SecretPlain, p.SecretData) {
-			t.Error("secret data lost")
+			if _, err := os.Stat(filepath.Join(dir, FileSecretData)); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("local deployment kept a plaintext data file: %v", err)
+			}
 		}
-		if !cfg.CAPub.Equal(ca.PublicKey()) {
+		if !caPub.Equal(ca.PublicKey()) {
 			t.Error("CA key lost")
 		}
-		// The loaded config drives a working server.
-		srv, err := NewServer(cfg)
+		// The loaded entry drives a working server.
+		st := NewSecretStore()
+		if _, err := st.Register(e.MrEnclave, e.Meta, e.SecretPlain, e.Name); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewMultiServer(caPub, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,6 +144,41 @@ func TestServerFilesRoundTrip(t *testing.T) {
 			t.Fatalf("restore with loaded config: %d %v (%v)", code, err, rt.LastErr())
 		}
 	}
+
+	var builds []*Protected
+	for _, opts := range []SanitizeOptions{{}, {EncryptLocal: true}, {Hybrid: true}} {
+		p := buildApp(t, h, opts)
+		roundTrip(t.TempDir(), p)
+		builds = append(builds, p)
+	}
+	// Re-emitting into one directory: a local-data deployment drops the
+	// plaintext of the remote or hybrid one it replaces, and the next
+	// remote or hybrid deployment writes it back.
+	remote, local, hybrid := builds[0], builds[1], builds[2]
+	dir := t.TempDir()
+	for _, p := range []*Protected{remote, local, hybrid, local, remote} {
+		roundTrip(dir, p)
+	}
+}
+
+// FuzzUnmarshalMeta feeds arbitrary blobs to the meta decoder, which reads
+// enclave.secret.meta from disk for the server's directory scan and for
+// elide-run. It may not panic, an accepted blob must re-marshal to exactly
+// the 101 bytes it was parsed from, and an accepted hybrid meta must be
+// encrypted, as Sanitize writes every hybrid build.
+func FuzzUnmarshalMeta(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := UnmarshalMeta(data)
+		if err != nil {
+			return
+		}
+		if out := m.Marshal(); !bytes.Equal(out, data) {
+			t.Fatalf("re-marshaled %x, parsed %x", out, data)
+		}
+		if m.Hybrid && !m.Encrypted {
+			t.Fatalf("accepted a hybrid meta without encrypted local data: flags %#x", data[16])
+		}
+	})
 }
 
 // TestCAPersistRoundTrip checks CA save/load (the -ca flag of elide-run).

@@ -145,16 +145,14 @@ func TestFleetKeyValidation(t *testing.T) {
 		}
 	}
 	meta, data := testMeta("s")
-	cfg := ServerConfig{
-		CAPub:             mustCAPub(t),
-		ExpectedMrEnclave: testMr(1),
-		Meta:              meta,
-		SecretPlain:       data,
+	st := NewSecretStore()
+	if _, err := st.Register(testMr(1), meta, data, ""); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewServer(cfg, WithFleet(nil, "127.0.0.1:8", "127.0.0.1:9")); err == nil {
+	if _, err := NewMultiServer(mustCAPub(t), st, WithFleet(nil, "127.0.0.1:8", "127.0.0.1:9")); err == nil {
 		t.Fatal("a fleet without a key must fail construction")
 	}
-	if _, err := NewServer(cfg, WithFleet(make([]byte, 32), "", "127.0.0.1:9")); err == nil {
+	if _, err := NewMultiServer(mustCAPub(t), st, WithFleet(make([]byte, 32), "", "127.0.0.1:9")); err == nil {
 		t.Fatal("a fleet member without an advertised address must fail construction")
 	}
 }

@@ -19,28 +19,7 @@ import (
 	"sgxelide/internal/sgx"
 )
 
-// ServerConfig configures a single-enclave authentication server (the
-// paper's one-server-per-deployment shape). It is the compatibility layer
-// over a one-entry SecretStore; multi-enclave deployments build the store
-// directly and use NewMultiServer.
-type ServerConfig struct {
-	CAPub *ecdsa.PublicKey // pinned attestation root ("Intel")
-
-	// ExpectedMrEnclave is the measurement of the *sanitized, signed*
-	// enclave. Secrets are released only to an enclave that attests to
-	// exactly this identity.
-	ExpectedMrEnclave [32]byte
-
-	// Meta is enclave.secret.meta (including the local-data decryption key
-	// when the sanitizer encrypted the data).
-	Meta *SecretMeta
-
-	// SecretPlain is the plaintext secret data, served on REQUEST_DATA in
-	// remote-data mode. May be nil in local-data mode.
-	SecretPlain []byte
-}
-
-// serverOptions collects the functional options of NewServer. The With*
+// serverOptions collects the functional options of NewMultiServer. The With*
 // constructors live in options.go alongside the other families.
 type serverOptions struct {
 	maxSessions int
@@ -100,17 +79,9 @@ type Server struct {
 	qos   map[[32]byte]*qosState
 }
 
-// NewServer builds a single-enclave server: a one-entry store under the
-// hood, releasing secrets only to cfg.ExpectedMrEnclave.
-func NewServer(cfg ServerConfig, opts ...ServerOption) (*Server, error) {
-	st := NewSecretStore()
-	if _, err := st.Register(cfg.ExpectedMrEnclave, cfg.Meta, cfg.SecretPlain, ""); err != nil {
-		return nil, err
-	}
-	return NewMultiServer(cfg.CAPub, st, opts...)
-}
-
-// NewMultiServer builds a server over an externally managed secret store.
+// NewMultiServer builds an authentication server over a secret store, the
+// one server shape: Protected.NewServerFor registers its single deployment
+// in a fresh store, elide-server loads a deployments directory into one.
 // The store may be mutated while serving (Register/Remove/LoadDir/Watch);
 // each attestation resolves the measurement at handshake time.
 func NewMultiServer(caPub *ecdsa.PublicKey, store *SecretStore, opts ...ServerOption) (*Server, error) {

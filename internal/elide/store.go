@@ -18,10 +18,10 @@ import (
 
 // SecretEntry is one registered sanitized-enclave identity and the secrets
 // released to it: the metadata blob (with the local-data key when the
-// sanitizer encrypted the data) and, in remote-data mode, the plaintext
-// secret bytes. Entries are immutable once registered — a re-registration
-// replaces the entry wholesale (carrying the counters over), so sessions
-// holding a resolved entry keep a consistent snapshot.
+// sanitizer encrypted the data) and, in remote-data and hybrid mode, the
+// plaintext secret bytes. Entries are immutable once registered — a
+// re-registration replaces the entry wholesale (carrying the counters
+// over), so sessions holding a resolved entry keep a consistent snapshot.
 type SecretEntry struct {
 	MrEnclave   [32]byte
 	Meta        *SecretMeta
@@ -42,6 +42,11 @@ type SecretEntry struct {
 // metric names and trace attributes.
 func (e *SecretEntry) Label() string { return e.label }
 
+// MeasurementLabel is the short hex measurement prefix that names a
+// deployment: its entry's Label, and the subdirectory of a deployments
+// directory that elide-run -emit-server writes it to.
+func MeasurementLabel(mr [32]byte) string { return hex.EncodeToString(mr[:4]) }
+
 // EntryStats is a point-in-time view of one entry's release counters.
 type EntryStats struct {
 	Attests    uint64 `json:"attests"`
@@ -60,32 +65,22 @@ func (e *SecretEntry) Stats() EntryStats {
 	}
 }
 
-// storeShards is the shard count of a SecretStore (power of two). The
-// measurement's first byte picks the shard; MRENCLAVE values are hash
-// outputs, so the distribution is uniform.
-const storeShards = 16
-
-type storeShard struct {
-	mu      sync.RWMutex
-	entries map[[32]byte]*SecretEntry
-}
-
-// SecretStore is a concurrent, sharded map from enclave measurement to the
-// secrets released to that identity. One store backs one authentication
-// server, letting a single process serve any number of distinct sanitized
-// enclave builds: Session.Attest resolves the entry from the attested
-// quote's MRENCLAVE, and Session.Request serves only that entry.
+// SecretStore is a concurrent map from enclave measurement to the secrets
+// released to that identity. One store backs one authentication server,
+// letting a single process serve any number of distinct sanitized enclave
+// builds: Session.Attest resolves the entry from the attested quote's
+// MRENCLAVE, and Session.Request serves only that entry.
 //
 // Entries can be registered and removed at runtime; LoadDir/Watch keep the
 // store in sync with an on-disk directory of WriteServerFiles deployments
 // without a server restart.
 type SecretStore struct {
-	shards [storeShards]storeShard
+	mu      sync.RWMutex
+	entries map[[32]byte]*SecretEntry
 
 	// Directory-loading bookkeeping: the CA pinned by the first loaded
 	// deployment (all deployments must agree) guards against accidentally
 	// mixing attestation roots in one serving process.
-	dirMu   sync.Mutex
 	caPub   *ecdsa.PublicKey
 	scanErr error         // outcome of the most recent LoadDir pass
 	audit   *obs.AuditLog // optional: rescan failures become audit events
@@ -93,19 +88,11 @@ type SecretStore struct {
 
 // NewSecretStore returns an empty store.
 func NewSecretStore() *SecretStore {
-	st := &SecretStore{}
-	for i := range st.shards {
-		st.shards[i].entries = make(map[[32]byte]*SecretEntry)
-	}
-	return st
+	return &SecretStore{entries: make(map[[32]byte]*SecretEntry)}
 }
 
-func (st *SecretStore) shard(mr [32]byte) *storeShard {
-	return &st.shards[mr[0]&(storeShards-1)]
-}
-
-// validateSecrets checks the (meta, plain) pair the same way NewServer
-// always validated its ServerConfig.
+// validateSecrets checks that a (meta, plain) pair holds everything a
+// server releases in the meta's data mode.
 func validateSecrets(meta *SecretMeta, plain []byte) error {
 	if meta == nil {
 		return fmt.Errorf("elide: server needs the secret metadata")
@@ -119,83 +106,82 @@ func validateSecrets(meta *SecretMeta, plain []byte) error {
 	return nil
 }
 
-// Register adds (or replaces) the entry for mr. On replacement the release
-// counters carry over; sessions that already resolved the old entry keep
-// serving its snapshot until they end. Returns the registered entry.
-func (st *SecretStore) Register(mr [32]byte, meta *SecretMeta, plain []byte, name string) (*SecretEntry, error) {
-	return st.register(mr, meta, plain, name, "")
-}
-
-func (st *SecretStore) register(mr [32]byte, meta *SecretMeta, plain []byte, name, dir string) (*SecretEntry, error) {
+// newEntry validates the secrets a server releases to mr and wraps them in
+// an unregistered entry.
+func newEntry(mr [32]byte, meta *SecretMeta, plain []byte, name string) (*SecretEntry, error) {
 	if err := validateSecrets(meta, plain); err != nil {
 		return nil, err
 	}
-	e := &SecretEntry{
+	return &SecretEntry{
 		MrEnclave:   mr,
 		Meta:        meta,
 		SecretPlain: plain,
 		Name:        name,
-		label:       hex.EncodeToString(mr[:4]),
-		dir:         dir,
+		label:       MeasurementLabel(mr),
+	}, nil
+}
+
+// Register adds (or replaces) the entry for mr. On replacement the release
+// counters carry over; sessions that already resolved the old entry keep
+// serving its snapshot until they end. Returns the registered entry.
+func (st *SecretStore) Register(mr [32]byte, meta *SecretMeta, plain []byte, name string) (*SecretEntry, error) {
+	e, err := newEntry(mr, meta, plain, name)
+	if err != nil {
+		return nil, err
 	}
-	sh := st.shard(mr)
-	sh.mu.Lock()
-	if old, ok := sh.entries[mr]; ok {
+	st.put(e)
+	return e, nil
+}
+
+// put stores e under its measurement, carrying over the counters of the
+// entry it replaces.
+func (st *SecretStore) put(e *SecretEntry) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if old, ok := st.entries[e.MrEnclave]; ok {
 		e.attests.Store(old.attests.Load())
 		e.metaServed.Store(old.metaServed.Load())
 		e.dataServed.Store(old.dataServed.Load())
 		e.bundles.Store(old.bundles.Load())
 	}
-	sh.entries[mr] = e
-	sh.mu.Unlock()
-	return e, nil
+	st.entries[e.MrEnclave] = e
 }
 
 // Remove deletes the entry for mr, reporting whether it existed. In-flight
 // sessions that already resolved the entry finish with it; new attestations
 // for mr are refused.
 func (st *SecretStore) Remove(mr [32]byte) bool {
-	sh := st.shard(mr)
-	sh.mu.Lock()
-	_, ok := sh.entries[mr]
-	delete(sh.entries, mr)
-	sh.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	_, ok := st.entries[mr]
+	delete(st.entries, mr)
 	return ok
 }
 
 // Lookup resolves the entry for an attested measurement.
 func (st *SecretStore) Lookup(mr [32]byte) (*SecretEntry, bool) {
-	sh := st.shard(mr)
-	sh.mu.RLock()
-	e, ok := sh.entries[mr]
-	sh.mu.RUnlock()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	e, ok := st.entries[mr]
 	return e, ok
 }
 
 // Len counts registered entries.
 func (st *SecretStore) Len() int {
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	return n
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return len(st.entries)
 }
 
 // Entries snapshots all registered entries, sorted by measurement for
 // deterministic listings.
 func (st *SecretStore) Entries() []*SecretEntry {
-	var out []*SecretEntry
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			out = append(out, e)
-		}
-		sh.mu.RUnlock()
+	st.mu.RLock()
+	out := make([]*SecretEntry, 0, len(st.entries))
+	for _, e := range st.entries {
+		out = append(out, e)
 	}
+	st.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		return string(out[i].MrEnclave[:]) < string(out[j].MrEnclave[:])
 	})
@@ -206,39 +192,39 @@ func (st *SecretStore) Entries() []*SecretEntry {
 // LoadDir pass could not load (or a whole unreadable directory) becomes a
 // store_rescan_failed event.
 func (st *SecretStore) SetAuditLog(a *obs.AuditLog) {
-	st.dirMu.Lock()
+	st.mu.Lock()
 	st.audit = a
-	st.dirMu.Unlock()
+	st.mu.Unlock()
 }
 
 // HealthCheck reports the store degraded while its most recent directory
 // scan failed (wholly or for individual deployments). A store that never
 // dir-loads is always healthy.
 func (st *SecretStore) HealthCheck() error {
-	st.dirMu.Lock()
-	defer st.dirMu.Unlock()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return st.scanErr
 }
 
 // recordScan captures a pass's outcome for HealthCheck and the audit
 // stream.
 func (st *SecretStore) recordScan(rep DirReport, err error) {
-	st.dirMu.Lock()
+	st.mu.Lock()
 	audit := st.audit
 	switch {
 	case err != nil:
-		st.scanErr = fmt.Errorf("secrets-dir scan failed: %w", err)
+		st.scanErr = fmt.Errorf("deployments directory scan failed: %w", err)
 	case len(rep.Failed) > 0:
 		names := make([]string, 0, len(rep.Failed))
 		for n := range rep.Failed {
 			names = append(names, n)
 		}
 		sort.Strings(names)
-		st.scanErr = fmt.Errorf("secrets-dir deployments failed to load: %v", names)
+		st.scanErr = fmt.Errorf("deployments failed to load: %v", names)
 	default:
 		st.scanErr = nil
 	}
-	st.dirMu.Unlock()
+	st.mu.Unlock()
 	if audit == nil {
 		return
 	}
@@ -254,8 +240,8 @@ func (st *SecretStore) recordScan(rep DirReport, err error) {
 // CA returns the attestation CA pinned by directory loading (nil until the
 // first successful LoadDir).
 func (st *SecretStore) CA() *ecdsa.PublicKey {
-	st.dirMu.Lock()
-	defer st.dirMu.Unlock()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return st.caPub
 }
 
@@ -308,24 +294,21 @@ func (st *SecretStore) LoadDir(dir string) (DirReport, error) {
 		if _, err := os.Stat(filepath.Join(sub, FileMeasurement)); err != nil {
 			continue // not a deployment subdir
 		}
-		cfg, err := LoadServerConfig(sub)
+		caPub, e, err := loadDeployment(sub)
 		if err != nil {
 			rep.Failed[name] = err
 			continue
 		}
-		if err := st.pinCA(cfg.CAPub); err != nil {
+		if err := st.pinCA(caPub); err != nil {
 			rep.Failed[name] = err
 			continue
 		}
-		seen[name] = cfg.ExpectedMrEnclave
-		old, existed := st.Lookup(cfg.ExpectedMrEnclave)
-		if existed && old.dir == name && sameSecrets(old, cfg) {
+		seen[name] = e.MrEnclave
+		old, existed := st.Lookup(e.MrEnclave)
+		if existed && old.dir == name && sameSecrets(old, e) {
 			continue // unchanged
 		}
-		if _, err := st.register(cfg.ExpectedMrEnclave, cfg.Meta, cfg.SecretPlain, name, name); err != nil {
-			rep.Failed[name] = err
-			continue
-		}
+		st.put(e)
 		if existed {
 			rep.Updated++
 		} else {
@@ -351,8 +334,8 @@ func (st *SecretStore) LoadDir(dir string) (DirReport, error) {
 
 // pinCA pins the first attestation CA seen and rejects later mismatches.
 func (st *SecretStore) pinCA(pub *ecdsa.PublicKey) error {
-	st.dirMu.Lock()
-	defer st.dirMu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.caPub == nil {
 		st.caPub = pub
 		return nil
@@ -363,12 +346,12 @@ func (st *SecretStore) pinCA(pub *ecdsa.PublicKey) error {
 	return nil
 }
 
-// sameSecrets reports whether a loaded config matches the registered entry
-// byte for byte (so an unchanged deployment is not churned on every scan).
-// Both blobs carry key material, so the comparison is constant time.
-func sameSecrets(e *SecretEntry, cfg ServerConfig) bool {
-	return subtle.ConstantTimeCompare(e.Meta.Marshal(), cfg.Meta.Marshal()) == 1 &&
-		subtle.ConstantTimeCompare(e.SecretPlain, cfg.SecretPlain) == 1
+// sameSecrets reports whether two entries release the same secrets byte
+// for byte (so an unchanged deployment is not churned on every scan). Both
+// blobs carry key material, so the comparison is constant time.
+func sameSecrets(a, b *SecretEntry) bool {
+	return subtle.ConstantTimeCompare(a.Meta.Marshal(), b.Meta.Marshal()) == 1 &&
+		subtle.ConstantTimeCompare(a.SecretPlain, b.SecretPlain) == 1
 }
 
 // Watch rescans dir every interval until ctx ends, so deployments added,

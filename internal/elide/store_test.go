@@ -21,8 +21,7 @@ func testMeta(payload string) (*SecretMeta, []byte) {
 	return &SecretMeta{DataLen: uint64(len(data))}, data
 }
 
-// testMr derives a distinct measurement from a seed byte, spread across
-// shards by varying the first byte.
+// testMr derives a distinct measurement from a seed byte.
 func testMr(seed byte) [32]byte {
 	var mr [32]byte
 	for i := range mr {
@@ -106,8 +105,8 @@ func TestStoreReplacementCarriesCounters(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrency races registration, removal, and lookup across
-// shards (run under -race by make verify).
+// TestStoreConcurrency races registration, removal, and lookup (run under
+// -race by make verify).
 func TestStoreConcurrency(t *testing.T) {
 	st := NewSecretStore()
 	var wg sync.WaitGroup
@@ -141,7 +140,7 @@ func TestStoreConcurrency(t *testing.T) {
 }
 
 // writeDeployment writes a minimal WriteServerFiles-layout subdir without
-// building a real enclave (only LoadServerConfig's file contract matters).
+// building a real enclave (only loadDeployment's file contract matters).
 func writeDeployment(t *testing.T, root, name string, p *Protected, ca *sgx.CA) {
 	t.Helper()
 	if err := p.WriteServerFiles(filepath.Join(root, name), ca.PublicKey()); err != nil {
@@ -296,12 +295,11 @@ func TestStoreWatchPicksUpDeployment(t *testing.T) {
 func TestResumeCacheLRU(t *testing.T) {
 	newSrv := func() *Server {
 		meta, data := testMeta("s")
-		srv, err := NewServer(ServerConfig{
-			CAPub:             mustCAPub(t),
-			ExpectedMrEnclave: testMr(1),
-			Meta:              meta,
-			SecretPlain:       data,
-		}, WithResumeCacheSize(2))
+		st := NewSecretStore()
+		if _, err := st.Register(testMr(1), meta, data, ""); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewMultiServer(mustCAPub(t), st, WithResumeCacheSize(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +362,7 @@ func TestResumeCacheLRU(t *testing.T) {
 	})
 }
 
-// TestWriteServerFilesAtomic: the files round-trip through LoadServerConfig
+// TestWriteServerFilesAtomic: the files round-trip through loadDeployment
 // and no temp residue is left behind (the atomic-rename pattern).
 func TestWriteServerFilesAtomic(t *testing.T) {
 	ca, h := env(t)
@@ -373,17 +371,17 @@ func TestWriteServerFilesAtomic(t *testing.T) {
 	if err := p.WriteServerFiles(dir, ca.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := LoadServerConfig(dir)
+	_, e, err := loadDeployment(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ExpectedMrEnclave != p.Measurement {
+	if e.MrEnclave != p.Measurement {
 		t.Fatal("measurement did not round-trip")
 	}
-	if string(cfg.Meta.Marshal()) != string(p.Meta.Marshal()) {
+	if string(e.Meta.Marshal()) != string(p.Meta.Marshal()) {
 		t.Fatal("meta did not round-trip")
 	}
-	if string(cfg.SecretPlain) != string(p.SecretData) {
+	if string(e.SecretPlain) != string(p.SecretData) {
 		t.Fatal("secret data did not round-trip")
 	}
 	des, err := os.ReadDir(dir)

@@ -49,7 +49,7 @@ const (
 	AuditRestoreOK         = "restore_ok"          // a restore attempt chain ended in success
 	AuditRestoreRetry      = "restore_retry"       // a retryable attempt failed; chain continues
 	AuditRestoreFailed     = "restore_failed"      // terminal failure; flight recorder fires
-	AuditStoreRescanFailed = "store_rescan_failed" // secrets-dir rescan could not read a deployment
+	AuditStoreRescanFailed = "store_rescan_failed" // deployments-directory rescan could not read a deployment
 	AuditResumeExpired     = "resume_expired"      // resume entry past its TTL; full re-attest required
 	AuditResumeReplicated  = "resume_replicated"   // resume record accepted from a fleet peer
 

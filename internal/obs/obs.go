@@ -164,7 +164,7 @@ func (s HistogramSnapshot) Mean() time.Duration {
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1), interpolated linearly
-// inside the containing bucket.
+// inside the containing bucket's range clipped to the observed [Min, Max].
 func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return time.Duration(s.quantile(q))
 }
@@ -184,10 +184,15 @@ func (s HistogramSnapshot) quantile(q float64) uint64 {
 	for _, b := range s.Buckets {
 		next := seen + float64(b.Count)
 		if rank <= next || b == s.Buckets[len(s.Buckets)-1] {
-			lower := b.UpperNanos / 2
+			lower, upper := b.UpperNanos/2, b.UpperNanos
 			if b.UpperNanos <= 1 {
 				lower = 0
 			}
+			// No sample lies outside [Min, Max], so the first and last
+			// populated buckets interpolate over the part they observed:
+			// samples low in a wide bucket must not read as its top.
+			lower = max(lower, s.MinNanos)
+			upper = max(lower, min(upper, s.MaxNanos))
 			frac := 0.0
 			if b.Count > 0 {
 				frac = (rank - seen) / float64(b.Count)
@@ -198,16 +203,7 @@ func (s HistogramSnapshot) quantile(q float64) uint64 {
 					frac = 1
 				}
 			}
-			v := float64(lower) + frac*float64(b.UpperNanos-lower)
-			// Clamp to the observed range so tiny histograms report
-			// sensible values instead of bucket edges.
-			if v < float64(s.MinNanos) {
-				v = float64(s.MinNanos)
-			}
-			if v > float64(s.MaxNanos) {
-				v = float64(s.MaxNanos)
-			}
-			return uint64(v)
+			return lower + uint64(frac*float64(upper-lower))
 		}
 		seen = next
 	}

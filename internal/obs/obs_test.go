@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -59,6 +60,30 @@ func TestHistogramStats(t *testing.T) {
 	}
 	if mean := s.Mean(); mean < 400*time.Microsecond || mean > 600*time.Microsecond {
 		t.Fatalf("mean = %v, want ~500µs", mean)
+	}
+}
+
+// TestHistogramQuantilesLowInBucket: samples that sit low in one wide
+// power-of-two bucket keep distinct quantiles below the max, and the
+// median lands near the true one.
+func TestHistogramQuantilesLowInBucket(t *testing.T) {
+	for _, tc := range []struct{ lo, step time.Duration }{
+		{2600 * time.Millisecond, time.Millisecond},     // 2.600–2.699 s
+		{1100 * time.Microsecond, 3 * time.Microsecond}, // 1.100–1.397 ms
+	} {
+		h := newHistogram()
+		for i := 0; i < 100; i++ {
+			h.Observe(tc.lo + time.Duration(i)*tc.step)
+		}
+		s := h.Snapshot()
+		if !(s.P50Nanos < s.P90Nanos && s.P90Nanos < s.P99Nanos && s.P99Nanos <= s.MaxNanos) {
+			t.Errorf("%v..%v: p50 %d, p90 %d, p99 %d, max %d; want p50 < p90 < p99 <= max",
+				tc.lo, tc.lo+99*tc.step, s.P50Nanos, s.P90Nanos, s.P99Nanos, s.MaxNanos)
+		}
+		median := float64(tc.lo + 99*tc.step/2)
+		if d := math.Abs(float64(s.P50Nanos) - median); d > 0.01*median {
+			t.Errorf("%v..%v: p50 %d, true median %.0f", tc.lo, tc.lo+99*tc.step, s.P50Nanos, median)
+		}
 	}
 }
 
