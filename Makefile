@@ -6,8 +6,12 @@ build:
 	$(GO) build ./...
 
 # Tier-1 verification (see ROADMAP.md): formatting, build, vet (stdlib
-# analyzers plus the elide-vet secrecy suite), full tests including the
-# nested perfbench module's, the race detector over the transport-heavy
+# analyzers plus the elide-vet secrecy suite), full tests (among them two
+# gates on the paper's claims: no secret residue in enclave memory after
+# any restore outcome, TestNoSecretResidueAfterRestore, and the Figure 3/4
+# shape from exact instruction counts, restore <= 3% of the test suite,
+# TestFigureShape) and the nested perfbench module's, the race detector
+# over the transport-heavy
 # packages and the tracer, the observability allocation budgets, a short
 # exploring fuzz of the handshake, member-list and client reply decoders
 # and of the meta decoder the deployment loader feeds from disk, and

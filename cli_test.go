@@ -126,6 +126,26 @@ func TestCLIPipeline(t *testing.T) {
 		t.Fatalf("wrong ecall result:\n%s", out)
 	}
 
+	// A user machine holds only what ships with a remote-data enclave: the
+	// sanitized image and its SIGSTRUCT, no meta and no data file.
+	if err := os.Mkdir(filepath.Join(dir, "user"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"sanitized.so", "enclave.sigstruct"} {
+		blob, err := os.ReadFile(filepath.Join(dir, "build", f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "user", f), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out = runCmd(tool("elide-run"), "-dir", "user", "-edl", "app.edl", "-ca", "ca.pem",
+		"-connect", addr, "-ecall", "ecall_compute", "-arg", "42")
+	if !strings.Contains(out, "restored via the authentication server") || !strings.Contains(out, "= 56253") {
+		t.Fatalf("restore from a user directory without server files:\n%s", out)
+	}
+
 	// The one client path: -connect takes a fleet, and the restore walks
 	// past an endpoint that refuses connections to the live one.
 	dead, err := net.Listen("tcp", "127.0.0.1:0")

@@ -19,7 +19,9 @@
 // -emit-server DIR writes the deployment into DIR/<label>, the
 // measurement's 8-hex label; elide-server -dir DIR serves every deployment
 // under DIR, and re-emitting an enclave replaces its deployment in place.
-// Without -connect, elide-run serves the same deployment in-process.
+// Without -connect, elide-run serves the same deployment in-process. With
+// -connect, -dir needs only what ships to a user machine: sanitized.so,
+// enclave.sigstruct and, in local-data or hybrid mode, enclave.secret.data.
 //
 // -connect takes one address or a comma-separated fleet: either way the
 // runtime dials through a failover pool. For availability, run several
@@ -37,8 +39,10 @@ import (
 	"context"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -53,7 +57,7 @@ import (
 
 func main() {
 	var (
-		dir         = flag.String("dir", "build", "directory with sanitized.so, enclave.sigstruct, enclave.secret.*")
+		dir         = flag.String("dir", "build", "directory with sanitized.so, enclave.sigstruct, enclave.secret.* (with -connect: the first two and enclave.secret.data when the build has one)")
 		edlPath     = flag.String("edl", "", "the application EDL file")
 		caPath      = flag.String("ca", "machine_ca.pem", "machine attestation root (created if missing)")
 		connect     = flag.String("connect", "", "comma-separated authentication server addresses, dialed as a failover pool (empty = in-process server)")
@@ -78,13 +82,6 @@ func main() {
 
 	sanitized, err := os.ReadFile(filepath.Join(*dir, elide.FileSanitizedSO))
 	check(err)
-	metaBlob, err := os.ReadFile(filepath.Join(*dir, elide.FileSecretMeta))
-	check(err)
-	meta, err := elide.UnmarshalMeta(metaBlob)
-	check(err)
-	secretData, err := os.ReadFile(filepath.Join(*dir, elide.FileSecretData))
-	check(err)
-
 	ssFile, err := os.Open(filepath.Join(*dir, "enclave.sigstruct"))
 	check(err)
 	var ss sgx.SigStruct
@@ -95,14 +92,34 @@ func main() {
 		SanitizedELF: sanitized,
 		SigStruct:    &ss,
 		Measurement:  ss.MrEnclave,
-		Meta:         meta,
-		SecretData:   secretData,
 	}
-	// The plaintext copy of a hybrid build lives only where the server
-	// runs: read it to emit the server files or to serve in-process.
-	if meta.Hybrid && (*emitServer != "" || *connect == "") {
-		prot.SecretPlain, err = os.ReadFile(filepath.Join(*dir, elide.FileSecretPlain))
+	var files *elide.FileStore
+	if *connect != "" && *emitServer == "" {
+		// A user machine holds what ships with the enclave: the sanitized
+		// image, its SIGSTRUCT and, in local-data and hybrid mode, the
+		// encrypted data file. The meta, which carries the local-data key,
+		// stays with the server.
+		files = &elide.FileStore{}
+		files.SecretData, err = os.ReadFile(filepath.Join(*dir, elide.FileSecretData))
+		if errors.Is(err, fs.ErrNotExist) {
+			err = nil
+		}
 		check(err)
+	} else {
+		// Emitting the server files or serving in-process needs the
+		// server's half too: the meta, the data file and, in a hybrid
+		// build, the plaintext copy.
+		metaBlob, err := os.ReadFile(filepath.Join(*dir, elide.FileSecretMeta))
+		check(err)
+		prot.Meta, err = elide.UnmarshalMeta(metaBlob)
+		check(err)
+		prot.SecretData, err = os.ReadFile(filepath.Join(*dir, elide.FileSecretData))
+		check(err)
+		if prot.Meta.Hybrid {
+			prot.SecretPlain, err = os.ReadFile(filepath.Join(*dir, elide.FileSecretPlain))
+			check(err)
+		}
+		files = prot.LocalFiles()
 	}
 
 	if *emitServer != "" {
@@ -176,7 +193,7 @@ func main() {
 		fmt.Println("elide-run: using in-process authentication server")
 	}
 
-	encl, rt, err := prot.LaunchContext(ctx, host, client, prot.LocalFiles())
+	encl, rt, err := prot.LaunchContext(ctx, host, client, files)
 	check(err)
 	rt.Audit = audit
 	fmt.Printf("elide-run: enclave initialized, MRENCLAVE %x...\n", encl.Encl.MrEnclave[:8])

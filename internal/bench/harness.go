@@ -137,23 +137,30 @@ func LaunchProtected(env *Env, prot *elide.Protected) (*sdk.Enclave, *elide.Runt
 	return prot.Launch(env.Host, &elide.DirectClient{Session: srv.NewSession()}, prot.LocalFiles())
 }
 
+// Steps is one run's exact instruction counts inside the enclave. Unlike
+// its wall time, they do not move with the host's speed.
+type Steps struct {
+	Restore uint64 // the elide_restore ecall
+	Suite   uint64 // the built-in test suite
+}
+
 // RunProtected is the full user-side flow: launch, restore, run the
-// workload. Returns the elide_restore return code.
-func RunProtected(env *Env, prot *elide.Protected, p *Program, flags uint64) (uint64, error) {
+// workload. Returns the elide_restore return code and the run's counts.
+func RunProtected(env *Env, prot *elide.Protected, p *Program, flags uint64) (uint64, Steps, error) {
 	encl, rt, err := LaunchProtected(env, prot)
 	if err != nil {
-		return 0, err
+		return 0, Steps{}, err
 	}
 	defer encl.Destroy()
 	code, err := encl.ECall("elide_restore", flags)
 	if err != nil {
-		return 0, fmt.Errorf("restore: %w (runtime: %v)", err, rt.LastErr())
+		return 0, Steps{}, fmt.Errorf("restore: %w (runtime: %v)", err, rt.LastErr())
 	}
+	steps := Steps{Restore: encl.Steps}
 	if code >= 100 {
-		return code, fmt.Errorf("elide_restore failed with code %d (runtime: %v)", code, rt.LastErr())
+		return code, steps, fmt.Errorf("elide_restore failed with code %d (runtime: %v)", code, rt.LastErr())
 	}
-	if err := p.Workload(env.Host, encl); err != nil {
-		return code, err
-	}
-	return code, nil
+	err = p.Workload(env.Host, encl)
+	steps.Suite = encl.Steps - steps.Restore
+	return code, steps, err
 }

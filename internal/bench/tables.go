@@ -101,11 +101,13 @@ func newStat(samples []time.Duration) Stat {
 }
 
 // Table2Row is one row of the paper's Table 2: sanitize and restore times
-// for remote-data and local-data modes.
+// for remote-data and local-data modes, with each restore's exact
+// instruction count.
 type Table2Row struct {
 	Name                          string
 	RemoteSanitize, RemoteRestore Stat
 	LocalSanitize, LocalRestore   Stat
+	RemoteSteps, LocalSteps       uint64
 }
 
 // Table2 measures sanitization (offline) and restoration (the first-launch
@@ -150,6 +152,7 @@ func Table2(env *Env, iters int) ([]Table2Row, error) {
 				return nil, err
 			}
 			var restTimes []time.Duration
+			var steps uint64
 			for i := 0; i < iters; i++ {
 				encl, rt, err := prot.Launch(env.Host, &elide.DirectClient{Session: srv.NewSession()}, prot.LocalFiles())
 				if err != nil {
@@ -163,14 +166,17 @@ func Table2(env *Env, iters int) ([]Table2Row, error) {
 					return nil, fmt.Errorf("%s: restore failed: %d %v (%v)", p.Name, code, err, rt.LastErr())
 				}
 				restTimes = append(restTimes, took)
+				steps = encl.Steps
 				encl.Destroy()
 			}
 			if local {
 				row.LocalSanitize = newStat(sanTimes)
 				row.LocalRestore = newStat(restTimes)
+				row.LocalSteps = steps
 			} else {
 				row.RemoteSanitize = newStat(sanTimes)
 				row.RemoteRestore = newStat(restTimes)
+				row.RemoteSteps = steps
 			}
 		}
 		rows = append(rows, row)
@@ -179,18 +185,26 @@ func Table2(env *Env, iters int) ([]Table2Row, error) {
 }
 
 // FigureRow is one bar pair of Figure 3 / Figure 4: normalized end-to-end
-// runtime of the protected benchmark relative to the plain-SGX baseline.
+// runtime of the protected benchmark relative to the plain-SGX baseline,
+// and the same overhead in exact form from instruction counts.
 type FigureRow struct {
 	Name         string
 	BaselineMs   float64
 	ProtectedMs  float64
 	RelativePerf float64 // protected / baseline (1.00 = no overhead)
+	Steps        Steps   // of the protected run
 }
+
+// StepRatio is restore ÷ test-suite instructions: the restore's share of
+// the run, free of the host's timing noise.
+func (r FigureRow) StepRatio() float64 { return float64(r.Steps.Restore) / float64(r.Steps.Suite) }
 
 // Figures measures the overall performance overhead (Figure 3: remote data;
 // Figure 4: local data). Following the paper, the games are excluded and
 // each measured run is the whole application: enclave creation, restoration
-// (protected only), and the built-in test suite.
+// (protected only), and the built-in test suite. Each iteration runs the
+// baseline and then the protected application, so a drift in the host's
+// speed lands on both sides.
 func Figures(env *Env, local bool, iters int) ([]FigureRow, error) {
 	var rows []FigureRow
 	for _, p := range All() {
@@ -206,8 +220,13 @@ func Figures(env *Env, local bool, iters int) ([]FigureRow, error) {
 			return nil, err
 		}
 
-		// Plain SGX baseline, rebuilt per run like ./app would reload it.
+		// The baseline image is compiled and signed here, outside the timed
+		// runs, which reload it like ./app would.
+		if _, err := cachedBaselineImage(env, p); err != nil {
+			return nil, err
+		}
 		var baseTimes, protTimes []time.Duration
+		var steps Steps
 		for i := 0; i < iters; i++ {
 			start := time.Now()
 			encl, err := BuildBaseline(env, p)
@@ -220,9 +239,8 @@ func Figures(env *Env, local bool, iters int) ([]FigureRow, error) {
 			}
 			encl.Destroy()
 			baseTimes = append(baseTimes, time.Since(start))
-		}
-		for i := 0; i < iters; i++ {
-			start := time.Now()
+
+			start = time.Now()
 			encl, rt, err := prot.Launch(env.Host, &elide.DirectClient{Session: srv.NewSession()}, prot.LocalFiles())
 			if err != nil {
 				return nil, err
@@ -232,10 +250,12 @@ func Figures(env *Env, local bool, iters int) ([]FigureRow, error) {
 				encl.Destroy()
 				return nil, fmt.Errorf("%s: restore: %d %v (%v)", p.Name, code, err, rt.LastErr())
 			}
+			steps.Restore = encl.Steps
 			if err := p.Workload(env.Host, encl); err != nil {
 				encl.Destroy()
 				return nil, fmt.Errorf("%s protected: %w", p.Name, err)
 			}
+			steps.Suite = encl.Steps - steps.Restore
 			encl.Destroy()
 			protTimes = append(protTimes, time.Since(start))
 		}
@@ -246,6 +266,7 @@ func Figures(env *Env, local bool, iters int) ([]FigureRow, error) {
 			BaselineMs:   base,
 			ProtectedMs:  protMs,
 			RelativePerf: protMs / base,
+			Steps:        steps,
 		})
 	}
 	return rows, nil
@@ -271,16 +292,17 @@ func RenderTable1(rows []Table1Row) string {
 // RenderTable2 formats Table 2 like the paper.
 func RenderTable2(rows []Table2Row) string {
 	var sb strings.Builder
-	sb.WriteString("Table 2. Sanitization/restoration execution time (ms) with remote/local data.\n")
-	fmt.Fprintf(&sb, "%-10s | %9s %7s %9s %7s | %9s %7s %9s %7s\n",
-		"", "RemSanit", "Std", "RemRest", "Std", "LocSanit", "Std", "LocRest", "Std")
+	sb.WriteString("Table 2. Sanitization/restoration execution time (ms) with remote/local data,\n")
+	sb.WriteString("and each restore's instructions inside the enclave (Insns).\n")
+	fmt.Fprintf(&sb, "%-10s | %9s %7s %9s %7s %9s | %9s %7s %9s %7s %9s\n",
+		"", "RemSanit", "Std", "RemRest", "Std", "Insns", "LocSanit", "Std", "LocRest", "Std", "Insns")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s | %9.3f %7.3f %9.3f %7.3f | %9.3f %7.3f %9.3f %7.3f\n",
+		fmt.Fprintf(&sb, "%-10s | %9.3f %7.3f %9.3f %7.3f %9d | %9.3f %7.3f %9.3f %7.3f %9d\n",
 			r.Name,
 			r.RemoteSanitize.MeanMs, r.RemoteSanitize.StdMs,
-			r.RemoteRestore.MeanMs, r.RemoteRestore.StdMs,
+			r.RemoteRestore.MeanMs, r.RemoteRestore.StdMs, r.RemoteSteps,
 			r.LocalSanitize.MeanMs, r.LocalSanitize.StdMs,
-			r.LocalRestore.MeanMs, r.LocalRestore.StdMs)
+			r.LocalRestore.MeanMs, r.LocalRestore.StdMs, r.LocalSteps)
 	}
 	return sb.String()
 }
@@ -290,11 +312,12 @@ func RenderTable2(rows []Table2Row) string {
 func RenderFigure(title string, rows []FigureRow) string {
 	var sb strings.Builder
 	sb.WriteString(title + "\n")
-	fmt.Fprintf(&sb, "%-10s %12s %13s %10s\n", "Benchmark", "w/ SGX (ms)", "w/ Elide (ms)", "Relative")
+	fmt.Fprintf(&sb, "%-10s %12s %13s %10s %16s\n", "Benchmark", "w/ SGX (ms)", "w/ Elide (ms)", "Relative", "Restore/suite")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %12.1f %13.1f %9.1f%%\n",
-			r.Name, r.BaselineMs, r.ProtectedMs, 100*r.RelativePerf)
+		fmt.Fprintf(&sb, "%-10s %12.1f %13.1f %9.1f%% %15.2f%%\n",
+			r.Name, r.BaselineMs, r.ProtectedMs, 100*r.RelativePerf, 100*r.StepRatio())
 	}
+	sb.WriteString("(Restore/suite: restore ÷ test-suite instructions inside the enclave.)\n")
 	sb.WriteString("\nRelative performance (100% = w/ SGX baseline):\n")
 	const width = 40 // bar length of the 100% baseline
 	for _, r := range rows {

@@ -44,6 +44,7 @@ int sgx_ecdh_shared(uint8_t* priv, uint8_t* peer, uint8_t* key);
 int sgx_rijndael128GCM_encrypt(uint8_t* key, uint8_t* src, uint64_t len, uint8_t* dst, uint8_t* iv, uint8_t* mac);
 int sgx_rijndael128GCM_decrypt(uint8_t* key, uint8_t* src, uint64_t len, uint8_t* dst, uint8_t* iv, uint8_t* mac);
 void* memcpy(void* d, void* s, uint64_t n);
+void* memset(void* d, int c, uint64_t n);
 void* malloc(uint64_t n);
 
 uint64_t elide_server_request(uint64_t req, uint8_t* inbuf, uint64_t inlen, uint8_t* outbuf, uint64_t cap);
@@ -52,6 +53,8 @@ uint64_t elide_write_file(uint8_t* buf, uint64_t len);
 void elide_qe_target(uint8_t* ti);
 void elide_report(uint64_t code);
 uint64_t elide_self_addr(void);
+uint64_t elide_text_start(void);
+uint64_t elide_text_end(void);
 
 uint8_t elide_channel_key[16];
 uint64_t elide_restored;
@@ -60,9 +63,10 @@ uint64_t elide_sealed_corrupt;
 /* elide_wipe zeroizes secret-bearing memory before it is released or a
  * function returns: decrypted plaintext, seal/channel keys, and the ECDH
  * private key must not outlive their use inside the enclave heap/stack
- * (a later memory-disclosure bug or a dump would recover them). */
+ * (a later memory-disclosure bug or a dump would recover them). tlibc's
+ * word-wise memset is the one zeroing loop. */
 void elide_wipe(uint8_t* p, uint64_t n) {
-    for (uint64_t i = 0; i < n; i++) p[i] = 0;
+    memset(p, 0, n);
 }
 
 /* elide_channel_setup attests to the server and derives the channel key:
@@ -115,27 +119,47 @@ uint64_t elide_channel_request(uint64_t req, uint8_t* out, uint64_t cap) {
     return n - 28;
 }
 
+/* elide_in_text reports whether [dst, dst + n) lies inside the text
+ * section, without computing dst + n, which could wrap. */
+uint64_t elide_in_text(uint64_t dst, uint64_t n) {
+    uint64_t hi = elide_text_end();
+    if (dst < elide_text_start()) return 0;
+    if (dst > hi) return 0;
+    return n <= hi - dst;
+}
+
 /* elide_apply writes the original bytes over the sanitized text. The text
  * base is computed position-independently: the metadata carries the offset
  * of elide_restore from the text start, and elide_self_addr() returns its
- * runtime address. */
-void elide_apply(uint8_t* data, uint64_t dlen, uint64_t off, uint64_t format) {
+ * runtime address. off and the range records can come from the host's
+ * sealed file, so it returns 1 instead of writing outside the text section
+ * or reading a record past data + dlen; the caller treats that as a failed
+ * restore. */
+uint64_t elide_apply(uint8_t* data, uint64_t dlen, uint64_t off, uint64_t format) {
     uint64_t text = elide_self_addr() - off;
     if (format == 0) {
+        if (elide_in_text(text, dlen) == 0) return 1;
         memcpy((uint8_t*)text, data, dlen);
-        return;
+        return 0;
     }
     uint64_t count;
-    uint8_t* p = data + 8;
+    uint64_t pos = 8;
+    if (dlen < pos) return 1;
     memcpy(&count, data, 8);
     for (uint64_t i = 0; i < count; i++) {
         uint64_t roff;
         uint64_t rlen;
-        memcpy(&roff, p, 8);
-        memcpy(&rlen, p + 8, 8);
-        memcpy((uint8_t*)(text + roff), p + 16, rlen);
-        p = p + 16 + rlen;
+        /* pos <= dlen holds throughout, so dlen - pos cannot wrap. */
+        if (dlen - pos < 16) return 1;
+        memcpy(&roff, data + pos, 8);
+        memcpy(&rlen, data + pos + 8, 8);
+        pos = pos + 16;
+        if (rlen > dlen - pos) return 1;
+        if (elide_in_text(text + roff, rlen) == 0) return 1;
+        memcpy((uint8_t*)(text + roff), data + pos, rlen);
+        pos = pos + rlen;
     }
+    return 0;
 }
 
 /* elide_verify_text hashes the whole text section after an apply and
@@ -159,7 +183,8 @@ uint64_t elide_verify_text(uint64_t off, uint64_t textlen, uint8_t* digest) {
 
 /* elide_try_sealed returns 0 on a verified sealed restore, 1 when there is
  * no usable sealed file (missing), and 2 when the blob exists but is
- * corrupt — truncated, failed its MAC, or produced a torn text. Corrupt
+ * corrupt — truncated, failed its MAC, pointed the apply outside the text
+ * section, or produced a torn text. Corrupt
  * blobs are reported so the runtime can surface a typed error, and the
  * caller falls back to the network and re-seals a fresh blob. */
 uint64_t elide_try_sealed(void) {
@@ -186,8 +211,7 @@ uint64_t elide_try_sealed(void) {
     uint64_t rc = 0;
     if (sgx_rijndael128GCM_decrypt(key, blob + 92, dlen, plain, blob + 64, blob + 76)) rc = 2;
     if (rc == 0) {
-        elide_apply(plain, dlen, off, format);
-        if (elide_verify_text(off, textlen, blob + 32)) rc = 2;
+        if (elide_apply(plain, dlen, off, format) || elide_verify_text(off, textlen, blob + 32)) rc = 2;
     }
     /* The seal key and the decrypted text must not linger on the stack or
      * heap once the apply has consumed them (or failed). */
@@ -255,20 +279,15 @@ uint64_t elide_restore(uint64_t flags) {
     memcpy(&off, mbuf + 8, 8);
     memcpy(&textlen, mbuf + 61, 8);
     format = (mbuf[16] >> 1) & 1;
-    data = malloc(dlen);
+    data = malloc(dlen + 28);
     got = 0;
     r = 0;
     if (mbuf[16] & 4) {
         /* Hybrid: the data lives both on the server and in the encrypted
          * local file. Prefer the fresh remote copy; degrade to the local
-         * file when the pool cannot move the payload. */
-        uint8_t* hdata = malloc(dlen + 28);
-        n = elide_channel_request(2, hdata, dlen + 28);
-        if (n == dlen) {
-            memcpy(data, hdata, dlen);
-            got = 1;
-        }
-        elide_wipe(hdata, dlen + 28);
+         * file, which overwrites data, when the pool cannot move it. */
+        n = elide_channel_request(2, data, dlen + 28);
+        if (n == dlen) got = 1;
         if (got == 0) elide_report(3);
     }
     if (got == 0) {
@@ -281,20 +300,16 @@ uint64_t elide_restore(uint64_t flags) {
                 if (sgx_rijndael128GCM_decrypt(mbuf + 17, data, dlen, data, mbuf + 33, mbuf + 45)) r = 107;
             }
         } else {
-            /* Remote data: fetch the secret bytes over the channel. */
-            uint8_t* edata = malloc(dlen + 28);
-            n = elide_channel_request(2, edata, dlen + 28);
+            /* Remote data: the channel decrypts in place, into data. */
+            n = elide_channel_request(2, data, dlen + 28);
             if (n != dlen) r = 108;
-            if (r == 0) memcpy(data, edata, dlen);
-            elide_wipe(edata, dlen + 28);
         }
     }
     if (r == 0) {
-        elide_apply(data, dlen, off, format);
-        if (elide_verify_text(off, textlen, mbuf + 69)) {
+        if (elide_apply(data, dlen, off, format) || elide_verify_text(off, textlen, mbuf + 69)) {
             /* Torn restore: never report success over a text that does not
-             * hash to the original. elide_restored stays clear so a retry
-             * re-runs the whole protocol. */
+             * hash to the original, nor after a refused apply. elide_restored
+             * stays clear so a retry re-runs the whole protocol. */
             elide_report(2);
             r = 110;
         }
@@ -307,24 +322,37 @@ uint64_t elide_restore(uint64_t flags) {
         }
     }
     /* Single cleanup for every outcome: the restored text now lives only
-     * in the text section, so the staging copy, the metadata blob (which
-     * carries the local-data key/IV/MAC), and the channel key are wiped. */
-    elide_wipe(data, dlen);
+     * in the text section, so data with the channel's 28-byte framing, the
+     * metadata blob (local-data key/IV/MAC) and the channel key are wiped. */
+    elide_wipe(data, dlen + 28);
     elide_wipe(mbuf, 160);
     elide_wipe(elide_channel_key, 16);
     return r;
 }
 `
 
-// TrustedAsm holds the hand-written helper: the position-independent
+// TrustedAsm holds the hand-written helpers: the position-independent
 // address of elide_restore (C has no function pointers in our subset, and
 // this mirrors the paper's PIC trick of subtracting the metadata offset
-// from elide_restore's runtime address).
+// from elide_restore's runtime address), and the linker's text-section
+// bounds, the only memory elide_apply may write.
 const TrustedAsm = `
 .text
 .global elide_self_addr
 .func elide_self_addr
 	la rv, elide_restore
+	ret
+.endfunc
+
+.global elide_text_start
+.func elide_text_start
+	la rv, __text_start
+	ret
+.endfunc
+
+.global elide_text_end
+.func elide_text_end
+	la rv, __text_end
 	ret
 .endfunc
 `

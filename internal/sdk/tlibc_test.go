@@ -23,7 +23,29 @@ char* strncpy(char* d, char* s, uint64_t n);
 char buf[64];
 char buf2[64];
 
+/* memset is word-wise with a byte tail: exactly n bytes from buf + off take
+ * the low byte of c, and the bytes around them keep their old value. */
+int memset_ok(uint64_t off, uint64_t n, int c, uint8_t want) {
+    for (int i = 0; i < 64; i++) buf[i] = 0x5A;
+    if (memset(buf + off, c, n) != buf + off) return 0;
+    for (uint64_t i = 0; i < 64; i++) {
+        uint8_t b = 0x5A;
+        if (i >= off && i < off + n) b = want;
+        if ((uint8_t)buf[i] != b) return 0;
+    }
+    return 1;
+}
+
 int main(void) {
+    /* memset at every alignment and every length around the word size */
+    for (uint64_t off = 0; off < 9; off++) {
+        for (uint64_t n = 0; n < 26; n++) {
+            if (!memset_ok(off, n, 0, 0)) return 23;
+            if (!memset_ok(off, n, 0x1AB, 0xAB)) return 24;
+            if (!memset_ok(off, n, -1, 0xFF)) return 25;
+        }
+    }
+
     /* memset + memcmp */
     memset(buf, 0xAB, 16);
     for (int i = 0; i < 16; i++)

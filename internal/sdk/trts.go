@@ -72,10 +72,6 @@ const TrtsSource = `
 	jmp abort
 .endfunc
 
-
-
-
-
 ; Trusted heap: a watermark (arena) allocator. Bridges snapshot the cursor
 ; with heap_mark and roll back with heap_release when the ecall returns, so
 ; per-call scratch cannot leak.
@@ -218,7 +214,6 @@ const TlibcSource = `
 .text
 
 ; void* memcpy(void* dst, void* src, uint64_t n)
-; void* memcpy(void* dst, void* src, uint64_t n)
 .global memcpy
 .func memcpy
 	; NB: a0=r1, a1=r2, a2=r3 — temps are limited to r0 and r7 here.
@@ -271,23 +266,35 @@ const TlibcSource = `
 	ret
 .endfunc
 
-; void* memset(void* dst, int c, uint64_t n)
-; void* memset(void* dst, int c, uint64_t n)
+; void* memset(void* dst, int c, uint64_t n) — word-wise, like memcpy
 .global memset
 .func memset
 	mov rv, a0
+	andi a1, a1, 255
+	shli r7, a1, 8
+	or a1, a1, r7
+	shli r7, a1, 16
+	or a1, a1, r7
+	shli r7, a1, 32
+	or a1, a1, r7
+	movi r7, 8
+.Lmemset_words:
+	bltu a2, r7, .Lmemset_bytes
+	st64 [a0], a1
+	addi a0, a0, 8
+	addi a2, a2, -8
+	jmp .Lmemset_words
+.Lmemset_bytes:
 	movi r7, 0
-.Lmemset_loop:
 	beq a2, r7, .Lmemset_done
 	st8 [a0], a1
 	addi a0, a0, 1
 	addi a2, a2, -1
-	jmp .Lmemset_loop
+	jmp .Lmemset_bytes
 .Lmemset_done:
 	ret
 .endfunc
 
-; int memcmp(void* a, void* b, uint64_t n)
 ; int memcmp(void* a, void* b, uint64_t n)
 .global memcmp
 .func memcmp
@@ -332,7 +339,6 @@ const TlibcSource = `
 	ret
 .endfunc
 
-; uint64_t strlen(char* s)
 ; uint64_t strlen(char* s)
 .global strlen
 .func strlen
