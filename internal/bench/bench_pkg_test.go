@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sgxelide/internal/elide"
+	"sgxelide/internal/sdk"
 )
 
 var (
@@ -65,10 +66,12 @@ func runBaseline(t *testing.T, env *Env, p *Program) {
 		t.Fatal(err)
 	}
 	recordCounts(p, func(c *shapeCounts) { c.baselineSuite = encl.Steps })
+	rerunFromCache(t, env, p, encl)
 }
 
 // runProtectedRemote runs p through the full SgxElide flow in remote-data
-// mode and records its restore and test-suite instruction counts.
+// mode (RunProtected's flow) and records its restore and test-suite
+// instruction counts.
 func runProtectedRemote(t *testing.T, env *Env, p *Program) {
 	prot, err := BuildProtected(env, p, elide.SanitizeOptions{})
 	if err != nil {
@@ -77,14 +80,38 @@ func runProtectedRemote(t *testing.T, env *Env, p *Program) {
 	if prot.Stats.SanitizedFunctions == 0 {
 		t.Fatal("nothing sanitized")
 	}
-	code, steps, err := RunProtected(env, prot, p, 0)
+	encl, rt, err := LaunchProtected(env, prot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code != elide.RestoreOKServer {
-		t.Fatalf("restore code %d", code)
+	defer encl.Destroy()
+	if code, err := encl.ECall("elide_restore", 0); err != nil || code != elide.RestoreOKServer {
+		t.Fatalf("restore: code %d, %v (runtime: %v)", code, err, rt.LastErr())
 	}
+	steps := Steps{Restore: encl.Steps}
+	if err := p.Workload(env.Host, encl); err != nil {
+		t.Fatal(err)
+	}
+	steps.Suite = encl.Steps - steps.Restore
 	recordCounts(p, func(c *shapeCounts) { c.remote = steps })
+	rerunFromCache(t, env, p, encl)
+}
+
+// rerunFromCache runs a Figure program's test suite a second time in the
+// same enclave and fails unless the VM decodes no instruction: every one
+// must come from the decoded-instruction cache, whatever the code's
+// layout, instructions spanning a page boundary included.
+func rerunFromCache(t *testing.T, env *Env, p *Program, encl *sdk.Enclave) {
+	if p.IsGame {
+		return
+	}
+	decodes := encl.VM.Decodes
+	if err := p.Workload(env.Host, encl); err != nil {
+		t.Fatal(err)
+	}
+	if n := encl.VM.Decodes - decodes; n != 0 {
+		t.Errorf("rerun of the test suite decoded %d instructions, want 0", n)
+	}
 }
 
 // TestBaselines runs every benchmark's built-in test suite in a plain SGX

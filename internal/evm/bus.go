@@ -71,11 +71,11 @@ func (m *FlatMem) Load(addr uint64, n int) (uint64, *Fault) {
 	}
 	off := addr - m.Base
 	if off+uint64(n) <= uint64(len(m.data)) {
-		return loadLE(m.data[off:], n), nil
+		return LoadLE(m.data[off:], n), nil
 	}
 	var buf [8]byte
 	m.read(off, buf[:n])
-	return loadLE(buf[:], n), nil
+	return LoadLE(buf[:], n), nil
 }
 
 // Store implements Bus.
@@ -85,7 +85,7 @@ func (m *FlatMem) Store(addr uint64, n int, v uint64) *Fault {
 	}
 	off := addr - m.Base
 	m.extend(off + uint64(n))
-	storeLE(m.data[off:], n, v)
+	StoreLE(m.data[off:], n, v)
 	return nil
 }
 
@@ -113,8 +113,8 @@ func (m *FlatMem) ReadBytes(addr uint64, n int) ([]byte, bool) {
 	return out, true
 }
 
-// loadLE reads an n-byte little-endian value from b.
-func loadLE(b []byte, n int) uint64 {
+// LoadLE reads an n-byte little-endian value from b.
+func LoadLE(b []byte, n int) uint64 {
 	switch n {
 	case 1:
 		return uint64(b[0])
@@ -127,8 +127,8 @@ func loadLE(b []byte, n int) uint64 {
 	}
 }
 
-// storeLE writes the low n bytes of v to b little-endian.
-func storeLE(b []byte, n int, v uint64) {
+// StoreLE writes the low n bytes of v to b little-endian.
+func StoreLE(b []byte, n int, v uint64) {
 	switch n {
 	case 1:
 		b[0] = byte(v)

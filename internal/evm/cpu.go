@@ -1,6 +1,9 @@
 package evm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // StopReason says why VM.Run returned.
 type StopReason int
@@ -50,10 +53,11 @@ type Intrinsic func(m *VM) *Fault
 
 // VM is one EVM hardware thread.
 type VM struct {
-	Mem   Bus
-	Reg   [NumRegs]uint64
-	PC    uint64
-	Steps uint64 // instructions executed so far (cumulative)
+	Mem     Bus
+	Reg     [NumRegs]uint64
+	PC      uint64
+	Steps   uint64 // instructions executed so far (cumulative)
+	Decodes uint64 // instructions decoded so far (cumulative); a cached one is not decoded again
 
 	// MaxSteps, if non-zero, bounds the number of instructions a single Run
 	// call may execute before faulting with FaultStep. It guards tests and
@@ -63,18 +67,15 @@ type VM struct {
 	// Intrinsics dispatches INTRIN instructions by immediate number.
 	Intrinsics map[uint16]Intrinsic
 
-	fetchBuf  [16]byte
-	versioner CodeVersioner // non-nil when Mem supports icache invalidation
-	cache     icache
+	fetchBuf [16]byte
+	cache    icache
 }
 
-// New returns a VM executing against mem. When mem implements CodeVersioner
+// New returns a VM executing against mem. When mem implements CodePages
 // the VM caches decoded instructions, invalidating on code writes.
 func New(mem Bus) *VM {
 	m := &VM{Mem: mem}
-	if cv, ok := mem.(CodeVersioner); ok {
-		m.versioner = cv
-	}
+	m.cache.bus, _ = mem.(CodePages)
 	return m
 }
 
@@ -112,7 +113,7 @@ func (m *VM) ReadBytes(addr uint64, n int) ([]byte, *Fault) {
 		if f != nil {
 			return nil, f
 		}
-		storeLE(out[i:i+chunk], chunk, v)
+		StoreLE(out[i:i+chunk], chunk, v)
 		i += chunk
 	}
 	return out, nil
@@ -125,7 +126,7 @@ func (m *VM) WriteBytes(addr uint64, b []byte) *Fault {
 		if len(b)-i < 8 {
 			chunk = 1
 		}
-		v := loadLE(b[i:i+chunk], chunk)
+		v := LoadLE(b[i:i+chunk], chunk)
 		if f := m.Mem.Store(addr+uint64(i), chunk, v); f != nil {
 			return f
 		}
@@ -134,297 +135,308 @@ func (m *VM) WriteBytes(addr uint64, b []byte) *Fault {
 	return nil
 }
 
-// Run executes instructions until the machine halts, exits, or faults.
+// Run executes instructions until the machine halts, exits, or faults. A
+// cached instruction costs one slot access and one generation compare; the
+// bus is asked about a page only when execution enters it.
 func (m *VM) Run() Stop {
-	start := m.Steps
+	limit := m.Steps + m.MaxSteps
+	if m.MaxSteps == 0 || limit < m.Steps {
+		limit = math.MaxUint64
+	}
+	// The page being executed is resolved afresh on every Run, so changes
+	// the host makes between calls take effect.
+	base := m.PC &^ (icachePageSize - 1)
+	page := m.cache.enter(m.PC)
+	var decoded slot // an uncached decode
 	for {
-		if m.MaxSteps != 0 && m.Steps-start >= m.MaxSteps {
+		if m.Steps >= limit {
 			return Stop{Reason: StopFault, Fault: &Fault{Kind: FaultStep, PC: m.PC}}
 		}
-		stop, done := m.Step()
-		if done {
-			return stop
+		pc := m.PC
+		if pc-base >= icachePageSize {
+			base = pc &^ (icachePageSize - 1)
+			page = m.cache.enter(pc)
 		}
+		in := page.lookup(pc)
+		if in == nil {
+			in = &decoded
+			if f := m.decode(pc, in); f != nil {
+				return m.fault(f, pc)
+			}
+			if page != nil {
+				in = m.cache.store(page, pc, in)
+			}
+		}
+		m.Steps++
+		next := pc + uint64(in.size)
+
+		switch in.op {
+		case NOP:
+		case HALT:
+			m.PC = next
+			return Stop{Reason: StopHalt}
+		case MOV:
+			m.Reg[in.rd] = m.Reg[in.ra]
+		case MOVI:
+			m.Reg[in.rd] = in.imm
+		case LEA:
+			m.Reg[in.rd] = next + in.imm
+
+		case ADD:
+			m.Reg[in.rd] = m.Reg[in.ra] + m.Reg[in.rb]
+		case SUB:
+			m.Reg[in.rd] = m.Reg[in.ra] - m.Reg[in.rb]
+		case MUL:
+			m.Reg[in.rd] = m.Reg[in.ra] * m.Reg[in.rb]
+		case DIVU, DIVS, REMU, REMS:
+			b := m.Reg[in.rb]
+			if b == 0 {
+				return m.fault(&Fault{Kind: FaultDivideByZero}, pc)
+			}
+			a := m.Reg[in.ra]
+			switch in.op {
+			case DIVU:
+				m.Reg[in.rd] = a / b
+			case REMU:
+				m.Reg[in.rd] = a % b
+			case DIVS:
+				if int64(a) == -1<<63 && int64(b) == -1 {
+					m.Reg[in.rd] = a // wrap like x86/RISC-V would overflow-wrap
+				} else {
+					m.Reg[in.rd] = uint64(int64(a) / int64(b))
+				}
+			case REMS:
+				if int64(a) == -1<<63 && int64(b) == -1 {
+					m.Reg[in.rd] = 0
+				} else {
+					m.Reg[in.rd] = uint64(int64(a) % int64(b))
+				}
+			}
+		case AND:
+			m.Reg[in.rd] = m.Reg[in.ra] & m.Reg[in.rb]
+		case OR:
+			m.Reg[in.rd] = m.Reg[in.ra] | m.Reg[in.rb]
+		case XOR:
+			m.Reg[in.rd] = m.Reg[in.ra] ^ m.Reg[in.rb]
+		case SHL:
+			m.Reg[in.rd] = m.Reg[in.ra] << (m.Reg[in.rb] & 63)
+		case SHRU:
+			m.Reg[in.rd] = m.Reg[in.ra] >> (m.Reg[in.rb] & 63)
+		case SHRS:
+			m.Reg[in.rd] = uint64(int64(m.Reg[in.ra]) >> (m.Reg[in.rb] & 63))
+		case SLT:
+			m.Reg[in.rd] = b2u(int64(m.Reg[in.ra]) < int64(m.Reg[in.rb]))
+		case SLTU:
+			m.Reg[in.rd] = b2u(m.Reg[in.ra] < m.Reg[in.rb])
+		case SEQ:
+			m.Reg[in.rd] = b2u(m.Reg[in.ra] == m.Reg[in.rb])
+		case SNE:
+			m.Reg[in.rd] = b2u(m.Reg[in.ra] != m.Reg[in.rb])
+
+		case ADDI:
+			m.Reg[in.rd] = m.Reg[in.ra] + in.imm
+		case MULI:
+			m.Reg[in.rd] = m.Reg[in.ra] * in.imm
+		case ANDI:
+			m.Reg[in.rd] = m.Reg[in.ra] & in.imm
+		case ORI:
+			m.Reg[in.rd] = m.Reg[in.ra] | in.imm
+		case XORI:
+			m.Reg[in.rd] = m.Reg[in.ra] ^ in.imm
+		case SHLI:
+			m.Reg[in.rd] = m.Reg[in.ra] << (in.imm & 63)
+		case SHRUI:
+			m.Reg[in.rd] = m.Reg[in.ra] >> (in.imm & 63)
+		case SHRSI:
+			m.Reg[in.rd] = uint64(int64(m.Reg[in.ra]) >> (in.imm & 63))
+		case SLTI:
+			m.Reg[in.rd] = b2u(int64(m.Reg[in.ra]) < int64(in.imm))
+		case SLTUI:
+			m.Reg[in.rd] = b2u(m.Reg[in.ra] < in.imm)
+
+		case NOT:
+			m.Reg[in.rd] = ^m.Reg[in.ra]
+		case NEG:
+			m.Reg[in.rd] = -m.Reg[in.ra]
+		case SEXT:
+			v := m.Reg[in.ra]
+			switch in.w {
+			case 1:
+				m.Reg[in.rd] = uint64(int64(int8(v)))
+			case 2:
+				m.Reg[in.rd] = uint64(int64(int16(v)))
+			case 4:
+				m.Reg[in.rd] = uint64(int64(int32(v)))
+			}
+		case ZEXT:
+			v := m.Reg[in.ra]
+			switch in.w {
+			case 1:
+				m.Reg[in.rd] = v & 0xff
+			case 2:
+				m.Reg[in.rd] = v & 0xffff
+			case 4:
+				m.Reg[in.rd] = v & 0xffffffff
+			}
+
+		case BEQ:
+			if m.Reg[in.rd] == m.Reg[in.ra] {
+				next += in.imm
+			}
+		case BNE:
+			if m.Reg[in.rd] != m.Reg[in.ra] {
+				next += in.imm
+			}
+		case BLT:
+			if int64(m.Reg[in.rd]) < int64(m.Reg[in.ra]) {
+				next += in.imm
+			}
+		case BLTU:
+			if m.Reg[in.rd] < m.Reg[in.ra] {
+				next += in.imm
+			}
+		case BGE:
+			if int64(m.Reg[in.rd]) >= int64(m.Reg[in.ra]) {
+				next += in.imm
+			}
+		case BGEU:
+			if m.Reg[in.rd] >= m.Reg[in.ra] {
+				next += in.imm
+			}
+
+		case JMP:
+			next += in.imm
+		case JMPR:
+			next = m.Reg[in.rd]
+		case CALL:
+			if f := m.push(next); f != nil {
+				return m.fault(f, pc)
+			}
+			next += in.imm
+		case CALLR:
+			target := m.Reg[in.rd]
+			if f := m.push(next); f != nil {
+				return m.fault(f, pc)
+			}
+			next = target
+		case RET:
+			v, f := m.pop()
+			if f != nil {
+				return m.fault(f, pc)
+			}
+			next = v
+
+		case LD8U, LD8S, LD16U, LD16S, LD32U, LD32S, LD64:
+			addr := m.Reg[in.ra] + in.imm
+			var width int
+			switch in.op {
+			case LD8U, LD8S:
+				width = 1
+			case LD16U, LD16S:
+				width = 2
+			case LD32U, LD32S:
+				width = 4
+			default:
+				width = 8
+			}
+			v, f := m.Mem.Load(addr, width)
+			if f != nil {
+				return m.fault(f, pc)
+			}
+			switch in.op {
+			case LD8S:
+				v = uint64(int64(int8(v)))
+			case LD16S:
+				v = uint64(int64(int16(v)))
+			case LD32S:
+				v = uint64(int64(int32(v)))
+			}
+			m.Reg[in.rd] = v
+		case ST8, ST16, ST32, ST64:
+			addr := m.Reg[in.ra] + in.imm
+			var width int
+			switch in.op {
+			case ST8:
+				width = 1
+			case ST16:
+				width = 2
+			case ST32:
+				width = 4
+			default:
+				width = 8
+			}
+			if f := m.Mem.Store(addr, width, m.Reg[in.rd]); f != nil {
+				return m.fault(f, pc)
+			}
+
+		case PUSH:
+			if f := m.push(m.Reg[in.rd]); f != nil {
+				return m.fault(f, pc)
+			}
+		case POP:
+			v, f := m.pop()
+			if f != nil {
+				return m.fault(f, pc)
+			}
+			m.Reg[in.rd] = v
+
+		case EEXIT:
+			m.PC = next
+			return Stop{Reason: StopExit, Code: uint16(in.imm)}
+		case INTRIN:
+			fn := m.Intrinsics[uint16(in.imm)]
+			if fn == nil {
+				return m.fault(&Fault{Kind: FaultIntrinsic, Msg: fmt.Sprintf("unknown intrinsic %d", int64(in.imm))}, pc)
+			}
+			m.PC = next // intrinsics may inspect/modify PC (none do today)
+			if f := fn(m); f != nil {
+				return m.fault(f, pc)
+			}
+			continue
+		case BRK:
+			return m.fault(&Fault{Kind: FaultBreak}, pc)
+		default:
+			return m.fault(&Fault{Kind: FaultIllegalInst, Msg: in.op.String()}, pc)
+		}
+
+		m.PC = next
 	}
 }
 
-// Step executes a single instruction. It returns done=true when the machine
-// stopped (halt, exit, or fault); otherwise execution may continue.
-func (m *VM) Step() (Stop, bool) {
-	pc := m.PC
-	var in Inst
-	var n int
-	var version uint64
-	cached := false
-	if m.versioner != nil {
-		version = m.versioner.CodeVersion(pc)
-		in, n, cached = m.cache.lookup(pc, version)
+// decode fetches and decodes the instruction at pc into s, uncached.
+func (m *VM) decode(pc uint64, s *slot) *Fault {
+	// Fetch the opcode byte, then the operand bytes.
+	if f := m.Mem.Fetch(pc, m.fetchBuf[:1]); f != nil {
+		return f
 	}
-	if !cached {
-		// Fetch the opcode byte, then the operand bytes.
-		if f := m.Mem.Fetch(pc, m.fetchBuf[:1]); f != nil {
-			return m.fault(f, pc)
-		}
-		op := Opcode(m.fetchBuf[0])
-		if !op.Valid() {
-			return m.fault(&Fault{Kind: FaultIllegalInst, Msg: fmt.Sprintf("opcode %#02x", byte(op))}, pc)
-		}
-		n = op.Length()
-		if n > 1 {
-			if f := m.Mem.Fetch(pc+1, m.fetchBuf[1:n]); f != nil {
-				return m.fault(f, pc)
-			}
-		}
-		var err error
-		in, _, err = Decode(m.fetchBuf[:n])
-		if err != nil {
-			return m.fault(&Fault{Kind: FaultIllegalInst, Msg: err.Error()}, pc)
-		}
-		if m.versioner != nil {
-			m.cache.store(pc, version, in, n)
+	op := Opcode(m.fetchBuf[0])
+	if !op.Valid() {
+		return &Fault{Kind: FaultIllegalInst, Msg: fmt.Sprintf("opcode %#02x", byte(op))}
+	}
+	n := op.Length()
+	if n > 1 {
+		if f := m.Mem.Fetch(pc+1, m.fetchBuf[1:n]); f != nil {
+			return f
 		}
 	}
-	m.Steps++
-	next := pc + uint64(n)
-
-	switch in.Op {
-	case NOP:
-	case HALT:
-		m.PC = next
-		return Stop{Reason: StopHalt}, true
-	case MOV:
-		m.Reg[in.Rd] = m.Reg[in.Ra]
-	case MOVI:
-		m.Reg[in.Rd] = in.U64
-	case LEA:
-		m.Reg[in.Rd] = next + uint64(in.Imm)
-
-	case ADD:
-		m.Reg[in.Rd] = m.Reg[in.Ra] + m.Reg[in.Rb]
-	case SUB:
-		m.Reg[in.Rd] = m.Reg[in.Ra] - m.Reg[in.Rb]
-	case MUL:
-		m.Reg[in.Rd] = m.Reg[in.Ra] * m.Reg[in.Rb]
-	case DIVU, DIVS, REMU, REMS:
-		b := m.Reg[in.Rb]
-		if b == 0 {
-			return m.fault(&Fault{Kind: FaultDivideByZero}, pc)
-		}
-		a := m.Reg[in.Ra]
-		switch in.Op {
-		case DIVU:
-			m.Reg[in.Rd] = a / b
-		case REMU:
-			m.Reg[in.Rd] = a % b
-		case DIVS:
-			if int64(a) == -1<<63 && int64(b) == -1 {
-				m.Reg[in.Rd] = a // wrap like x86/RISC-V would overflow-wrap
-			} else {
-				m.Reg[in.Rd] = uint64(int64(a) / int64(b))
-			}
-		case REMS:
-			if int64(a) == -1<<63 && int64(b) == -1 {
-				m.Reg[in.Rd] = 0
-			} else {
-				m.Reg[in.Rd] = uint64(int64(a) % int64(b))
-			}
-		}
-	case AND:
-		m.Reg[in.Rd] = m.Reg[in.Ra] & m.Reg[in.Rb]
-	case OR:
-		m.Reg[in.Rd] = m.Reg[in.Ra] | m.Reg[in.Rb]
-	case XOR:
-		m.Reg[in.Rd] = m.Reg[in.Ra] ^ m.Reg[in.Rb]
-	case SHL:
-		m.Reg[in.Rd] = m.Reg[in.Ra] << (m.Reg[in.Rb] & 63)
-	case SHRU:
-		m.Reg[in.Rd] = m.Reg[in.Ra] >> (m.Reg[in.Rb] & 63)
-	case SHRS:
-		m.Reg[in.Rd] = uint64(int64(m.Reg[in.Ra]) >> (m.Reg[in.Rb] & 63))
-	case SLT:
-		m.Reg[in.Rd] = b2u(int64(m.Reg[in.Ra]) < int64(m.Reg[in.Rb]))
-	case SLTU:
-		m.Reg[in.Rd] = b2u(m.Reg[in.Ra] < m.Reg[in.Rb])
-	case SEQ:
-		m.Reg[in.Rd] = b2u(m.Reg[in.Ra] == m.Reg[in.Rb])
-	case SNE:
-		m.Reg[in.Rd] = b2u(m.Reg[in.Ra] != m.Reg[in.Rb])
-
-	case ADDI:
-		m.Reg[in.Rd] = m.Reg[in.Ra] + uint64(in.Imm)
-	case MULI:
-		m.Reg[in.Rd] = m.Reg[in.Ra] * uint64(in.Imm)
-	case ANDI:
-		m.Reg[in.Rd] = m.Reg[in.Ra] & uint64(in.Imm)
-	case ORI:
-		m.Reg[in.Rd] = m.Reg[in.Ra] | uint64(in.Imm)
-	case XORI:
-		m.Reg[in.Rd] = m.Reg[in.Ra] ^ uint64(in.Imm)
-	case SHLI:
-		m.Reg[in.Rd] = m.Reg[in.Ra] << (uint64(in.Imm) & 63)
-	case SHRUI:
-		m.Reg[in.Rd] = m.Reg[in.Ra] >> (uint64(in.Imm) & 63)
-	case SHRSI:
-		m.Reg[in.Rd] = uint64(int64(m.Reg[in.Ra]) >> (uint64(in.Imm) & 63))
-	case SLTI:
-		m.Reg[in.Rd] = b2u(int64(m.Reg[in.Ra]) < in.Imm)
-	case SLTUI:
-		m.Reg[in.Rd] = b2u(m.Reg[in.Ra] < uint64(in.Imm))
-
-	case NOT:
-		m.Reg[in.Rd] = ^m.Reg[in.Ra]
-	case NEG:
-		m.Reg[in.Rd] = -m.Reg[in.Ra]
-	case SEXT:
-		v := m.Reg[in.Ra]
-		switch in.W {
-		case 1:
-			m.Reg[in.Rd] = uint64(int64(int8(v)))
-		case 2:
-			m.Reg[in.Rd] = uint64(int64(int16(v)))
-		case 4:
-			m.Reg[in.Rd] = uint64(int64(int32(v)))
-		}
-	case ZEXT:
-		v := m.Reg[in.Ra]
-		switch in.W {
-		case 1:
-			m.Reg[in.Rd] = v & 0xff
-		case 2:
-			m.Reg[in.Rd] = v & 0xffff
-		case 4:
-			m.Reg[in.Rd] = v & 0xffffffff
-		}
-
-	case BEQ:
-		if m.Reg[in.Rd] == m.Reg[in.Ra] {
-			next += uint64(in.Imm)
-		}
-	case BNE:
-		if m.Reg[in.Rd] != m.Reg[in.Ra] {
-			next += uint64(in.Imm)
-		}
-	case BLT:
-		if int64(m.Reg[in.Rd]) < int64(m.Reg[in.Ra]) {
-			next += uint64(in.Imm)
-		}
-	case BLTU:
-		if m.Reg[in.Rd] < m.Reg[in.Ra] {
-			next += uint64(in.Imm)
-		}
-	case BGE:
-		if int64(m.Reg[in.Rd]) >= int64(m.Reg[in.Ra]) {
-			next += uint64(in.Imm)
-		}
-	case BGEU:
-		if m.Reg[in.Rd] >= m.Reg[in.Ra] {
-			next += uint64(in.Imm)
-		}
-
-	case JMP:
-		next += uint64(in.Imm)
-	case JMPR:
-		next = m.Reg[in.Rd]
-	case CALL:
-		if f := m.push(next); f != nil {
-			return m.fault(f, pc)
-		}
-		next += uint64(in.Imm)
-	case CALLR:
-		target := m.Reg[in.Rd]
-		if f := m.push(next); f != nil {
-			return m.fault(f, pc)
-		}
-		next = target
-	case RET:
-		v, f := m.pop()
-		if f != nil {
-			return m.fault(f, pc)
-		}
-		next = v
-
-	case LD8U, LD8S, LD16U, LD16S, LD32U, LD32S, LD64:
-		addr := m.Reg[in.Ra] + uint64(in.Imm)
-		var width int
-		switch in.Op {
-		case LD8U, LD8S:
-			width = 1
-		case LD16U, LD16S:
-			width = 2
-		case LD32U, LD32S:
-			width = 4
-		default:
-			width = 8
-		}
-		v, f := m.Mem.Load(addr, width)
-		if f != nil {
-			return m.fault(f, pc)
-		}
-		switch in.Op {
-		case LD8S:
-			v = uint64(int64(int8(v)))
-		case LD16S:
-			v = uint64(int64(int16(v)))
-		case LD32S:
-			v = uint64(int64(int32(v)))
-		}
-		m.Reg[in.Rd] = v
-	case ST8, ST16, ST32, ST64:
-		addr := m.Reg[in.Ra] + uint64(in.Imm)
-		var width int
-		switch in.Op {
-		case ST8:
-			width = 1
-		case ST16:
-			width = 2
-		case ST32:
-			width = 4
-		default:
-			width = 8
-		}
-		if f := m.Mem.Store(addr, width, m.Reg[in.Rd]); f != nil {
-			return m.fault(f, pc)
-		}
-
-	case PUSH:
-		if f := m.push(m.Reg[in.Rd]); f != nil {
-			return m.fault(f, pc)
-		}
-	case POP:
-		v, f := m.pop()
-		if f != nil {
-			return m.fault(f, pc)
-		}
-		m.Reg[in.Rd] = v
-
-	case EEXIT:
-		m.PC = next
-		return Stop{Reason: StopExit, Code: uint16(in.Imm)}, true
-	case INTRIN:
-		fn := m.Intrinsics[uint16(in.Imm)]
-		if fn == nil {
-			return m.fault(&Fault{Kind: FaultIntrinsic, Msg: fmt.Sprintf("unknown intrinsic %d", in.Imm)}, pc)
-		}
-		m.PC = next // intrinsics may inspect/modify PC (none do today)
-		if f := fn(m); f != nil {
-			return m.fault(f, pc)
-		}
-		return Stop{}, false
-	case BRK:
-		return m.fault(&Fault{Kind: FaultBreak}, pc)
-	default:
-		return m.fault(&Fault{Kind: FaultIllegalInst, Msg: in.Op.String()}, pc)
+	m.Decodes++
+	in, _, err := Decode(m.fetchBuf[:n])
+	if err != nil {
+		return &Fault{Kind: FaultIllegalInst, Msg: err.Error()}
 	}
-
-	m.PC = next
-	return Stop{}, false
+	imm := uint64(in.Imm)
+	if in.Op.OpForm() == FormRI64 {
+		imm = in.U64
+	}
+	*s = slot{op: in.Op, rd: in.Rd, ra: in.Ra, rb: in.Rb, w: in.W, size: uint8(n), imm: imm}
+	return nil
 }
 
 // fault finalizes a fault at pc and stops the machine.
-func (m *VM) fault(f *Fault, pc uint64) (Stop, bool) {
+func (m *VM) fault(f *Fault, pc uint64) Stop {
 	f.PC = pc
 	m.PC = pc
-	return Stop{Reason: StopFault, Fault: f}, true
+	return Stop{Reason: StopFault, Fault: f}
 }
 
 func b2u(b bool) uint64 {

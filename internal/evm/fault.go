@@ -84,15 +84,3 @@ func (a Access) String() string {
 	}
 	return "access?"
 }
-
-// permFault maps an access kind to the corresponding fault kind.
-func permFault(a Access) FaultKind {
-	switch a {
-	case Read:
-		return FaultReadPerm
-	case Write:
-		return FaultWritePerm
-	default:
-		return FaultExecPerm
-	}
-}

@@ -159,7 +159,7 @@ func TestFlatMemMatchesEagerModel(t *testing.T) {
 				t.Fatalf("op %d: Load%d(%#x) fault %v", i, n, addr, f)
 			}
 			if f == nil {
-				want := loadLE(ref[addr-base:], n)
+				want := LoadLE(ref[addr-base:], n)
 				if v != want {
 					t.Fatalf("op %d: Load%d(%#x) = %#x, want %#x", i, n, addr, v, want)
 				}
@@ -171,7 +171,7 @@ func TestFlatMemMatchesEagerModel(t *testing.T) {
 				t.Fatalf("op %d: Store%d(%#x) fault %v", i, n, addr, f)
 			}
 			if f == nil {
-				storeLE(ref[addr-base:], n, v)
+				StoreLE(ref[addr-base:], n, v)
 			}
 		case 2:
 			dst := make([]byte, rng.Intn(24))

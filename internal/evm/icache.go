@@ -2,86 +2,112 @@ package evm
 
 // Decoded-instruction caching. Interpreting an instruction costs two bus
 // fetches plus a decode; steady-state enclave code is static, so the VM
-// caches decoded instructions. Self-modifying code — the entire point of
-// SgxElide — is handled by an explicit invalidation protocol: a bus that
-// can observe writes to executable memory implements CodeVersioner with a
-// *per-page* write generation; every cached entry is tagged with the
-// generation it was decoded under and is ignored once the page's
-// generation moves on. A bus that cannot make that promise (e.g. the
-// permissionless FlatMem) simply doesn't implement the interface and the
-// VM interprets uncached — always correct, just slower.
+// caches decoded instructions, one slot per code byte of each page it
+// runs. Self-modifying code — the entire point of SgxElide — is handled by
+// generation words: a bus that can observe writes to executable memory
+// implements CodePages and hands the VM, on entering a page, a pointer to
+// a word that increases whenever that page's bytes or permissions may have
+// changed. Each slot records the word's value at decode time, and a cached
+// instruction runs only while the word still holds that value, so a hit
+// costs one slot access and one compare. An instruction whose bytes
+// continue on the next page also records that page's word and is valid
+// while both hold. A bus that cannot make that promise (e.g. the
+// permissionless FlatMem) simply doesn't implement the interface, and a bus
+// that hands out no word for a page (the SGX bus while a page trace is
+// recording) gets every fetch of that page through Fetch: the VM
+// interprets uncached — always correct, just slower.
 //
-// Per-page generations matter for the restore path: the restorer's memcpy
+// Per-page words matter for the restore path: the restorer's memcpy
 // overwrites the whole text section while executing from it. Only the page
-// currently being rewritten has its entries invalidated; the page hosting
-// the copy loop itself thrashes briefly while the loop copies over its own
-// bytes and is stable otherwise.
+// currently being rewritten loses its decodes; the page hosting the copy
+// loop itself thrashes briefly while the loop copies over its own bytes
+// and is stable otherwise.
 
-// CodeVersioner is implemented by buses that can detect writes to
-// executable memory at page granularity.
-type CodeVersioner interface {
-	// CodeVersion returns a counter for the page containing addr that
-	// increases whenever that page's executable bytes may have changed.
-	CodeVersion(addr uint64) uint64
+// CodePages is implemented by buses that can detect writes to executable
+// memory at page granularity.
+type CodePages interface {
+	// CodePage returns the generation word of the page containing addr and
+	// the page's index in the bus's own dense numbering. The word increases
+	// whenever the page's executable bytes or permissions may have changed.
+	// A nil word means the page's decodes must not be cached.
+	CodePage(addr uint64) (gen *uint64, index uint64)
 }
 
 const icachePageSize = 4096
 
-// icacheEntry is one decoded instruction; size==0 means never filled.
-// version tags the page generation the decode was made under.
-type icacheEntry struct {
-	in      Inst
-	size    uint8
-	version uint64
+// slot is one decoded instruction as the run loop executes it (32 bytes).
+type slot struct {
+	op         Opcode
+	rd, ra, rb byte
+	w          byte
+	size       uint8  // encoded length; 0 while the slot was never filled
+	imm        uint64 // Inst.Imm, or Inst.U64 for MOVI
+	gen        uint64 // the page's word when decoded
+	gen2       uint64 // the next page's word, for an instruction that continues there
 }
 
-// icachePage caches the decodings of one page of code. Entries carry their
-// own versions, so invalidation never requires clearing the array.
+// icachePage caches the decodings of one page of code. Slots carry their
+// own generations, so invalidation never requires clearing the array.
 type icachePage struct {
-	entries [icachePageSize]icacheEntry
+	gen   *uint64 // this page's generation word
+	next  *uint64 // the next page's word, once an instruction spanning into it was cached
+	slots [icachePageSize]slot
 }
 
-// icache maps page base addresses to their decoded entries.
+// lookup returns the current decode at pc on page p, or nil on a miss or
+// when p is nil (an uncached page).
+func (p *icachePage) lookup(pc uint64) *slot {
+	if p == nil {
+		return nil
+	}
+	off := pc & (icachePageSize - 1)
+	s := &p.slots[off]
+	if s.size == 0 || s.gen != *p.gen || off+uint64(s.size) > icachePageSize && s.gen2 != *p.next {
+		return nil
+	}
+	return s
+}
+
+// icache holds the cache pages, indexed by the bus's page index.
 type icache struct {
-	pages map[uint64]*icachePage
-	// One-entry lookaside for the common case of consecutive instructions
-	// on one page.
-	lastBase uint64
-	lastPage *icachePage
+	bus   CodePages // nil when the bus cannot support caching
+	pages []*icachePage
 }
 
-func (c *icache) page(base uint64) *icachePage {
-	if c.lastPage != nil && c.lastBase == base {
-		return c.lastPage
+// enter returns the cache page for the page containing pc, or nil when the
+// bus hands out no generation word for it. This is the one bus call the VM
+// makes per page it enters.
+func (c *icache) enter(pc uint64) *icachePage {
+	if c.bus == nil {
+		return nil
 	}
-	if c.pages == nil {
-		c.pages = make(map[uint64]*icachePage)
+	gen, i := c.bus.CodePage(pc)
+	if gen == nil {
+		return nil
 	}
-	pg := c.pages[base]
-	if pg == nil {
-		pg = &icachePage{}
-		c.pages[base] = pg
+	for uint64(len(c.pages)) <= i {
+		c.pages = append(c.pages, nil)
 	}
-	c.lastBase, c.lastPage = base, pg
-	return pg
+	if c.pages[i] == nil || c.pages[i].gen != gen {
+		c.pages[i] = &icachePage{gen: gen}
+	}
+	return c.pages[i]
 }
 
-// lookup returns the cached decode at addr, if current for version.
-func (c *icache) lookup(addr, version uint64) (Inst, int, bool) {
-	pg := c.page(addr &^ uint64(icachePageSize-1))
-	e := &pg.entries[addr&(icachePageSize-1)]
-	if e.size == 0 || e.version != version {
-		return Inst{}, 0, false
+// store records s, the decode of the instruction at pc on page p, and
+// returns the slot that now holds it. An instruction that continues on the
+// next page is cached only if the bus hands out that page's word too;
+// otherwise s itself is returned.
+func (c *icache) store(p *icachePage, pc uint64, s *slot) *slot {
+	off := pc & (icachePageSize - 1)
+	if off+uint64(s.size) > icachePageSize {
+		next, _ := c.bus.CodePage(pc + uint64(s.size) - 1)
+		if next == nil {
+			return s
+		}
+		p.next, s.gen2 = next, *next
 	}
-	return e.in, int(e.size), true
-}
-
-// store records a decode. Instructions that span a page boundary are not
-// cached (their bytes live on two pages with independent generations).
-func (c *icache) store(addr, version uint64, in Inst, size int) {
-	if (addr+uint64(size)-1)&^uint64(icachePageSize-1) != addr&^uint64(icachePageSize-1) {
-		return
-	}
-	pg := c.page(addr &^ uint64(icachePageSize-1))
-	pg.entries[addr&(icachePageSize-1)] = icacheEntry{in: in, size: uint8(size), version: version}
+	s.gen = *p.gen
+	p.slots[off] = *s
+	return &p.slots[off]
 }

@@ -1,10 +1,6 @@
 package sgx
 
-import (
-	"encoding/binary"
-
-	"sgxelide/internal/evm"
-)
+import "sgxelide/internal/evm"
 
 // AddressSpace is the memory bus an EVM thread sees while executing inside
 // an enclave: the enclave linear range (ELRANGE) backed by EPCM-checked EPC
@@ -23,19 +19,17 @@ type AddressSpace struct {
 }
 
 var _ evm.Bus = (*AddressSpace)(nil)
-var _ evm.CodeVersioner = (*AddressSpace)(nil)
+var _ evm.CodePages = (*AddressSpace)(nil)
 
-// CodeVersion implements evm.CodeVersioner: the VM may cache decoded
-// instructions of a page until that page's executable bytes change.
-// Unmapped pages report the enclave-wide epoch (EMODPR bumps it), which
-// also covers permission restrictions on mapped pages because the epoch is
-// folded into every page's reported version.
-func (a *AddressSpace) CodeVersion(addr uint64) uint64 {
+// CodePage implements evm.CodePages: the word is the page's EPCM writeGen,
+// and the index its ELRANGE page number. While PageTrace is set it hands
+// out no word, so every fetch goes through Fetch and the trace sees it.
+func (a *AddressSpace) CodePage(addr uint64) (*uint64, uint64) {
 	pg := a.Enclave.page(addr)
-	if pg == nil {
-		return a.Enclave.codeVersion
+	if pg == nil || a.PageTrace != nil {
+		return nil, 0
 	}
-	return pg.writeGen + a.Enclave.codeVersion<<32
+	return &pg.writeGen, (addr - a.Enclave.Base) / PageSize
 }
 
 // inELRange reports whether addr falls inside the enclave linear range.
@@ -44,82 +38,61 @@ func (a *AddressSpace) inELRange(addr uint64) bool {
 	return addr >= e.Base && addr < e.Base+e.Size
 }
 
-// access performs an enclave memory access with EPCM permission checks.
-// The fast path handles accesses within a single page; accesses may legally
-// span page boundaries (as the restorer's copy loop does), handled by the
-// byte-wise slow path.
-func (a *AddressSpace) access(addr uint64, buf []byte, kind evm.Access, write bool) *evm.Fault {
-	var need Perm
+// check is the EPCM check of an access of the given kind to the enclave
+// page containing va. It returns the page's entry, after bumping writeGen
+// when the access writes an executable page.
+func (a *AddressSpace) check(va uint64, kind evm.Access) (*epcmEntry, *evm.Fault) {
+	pg := a.Enclave.page(va)
+	if pg == nil {
+		return nil, &evm.Fault{Kind: evm.FaultBadAddress, Addr: va, Msg: "unmapped enclave page"}
+	}
+	need, fault := PermX, evm.FaultExecPerm
 	switch kind {
 	case evm.Read:
-		need = PermR
+		need, fault = PermR, evm.FaultReadPerm
 	case evm.Write:
-		need = PermW
-	default:
-		need = PermX
+		need, fault = PermW, evm.FaultWritePerm
 	}
-	base := addr &^ uint64(PageSize-1)
+	if pg.perm&need == 0 {
+		return nil, &evm.Fault{Kind: fault, Addr: va, Msg: "EPCM permissions " + pg.perm.String()}
+	}
+	if kind == evm.Write && pg.perm&PermX != 0 {
+		pg.writeGen++
+	}
+	return pg, nil
+}
+
+// access performs an enclave memory access with EPCM permission checks,
+// one page at a time: accesses may legally span page boundaries (as the
+// restorer's copy loop does). Load and Store reach an untraced access
+// within one page directly instead.
+func (a *AddressSpace) access(addr uint64, buf []byte, kind evm.Access) *evm.Fault {
 	if a.PageTrace != nil {
-		for p := base; p <= (addr+uint64(len(buf))-1)&^uint64(PageSize-1); p += PageSize {
+		for p := addr &^ uint64(PageSize-1); p <= (addr+uint64(len(buf))-1)&^uint64(PageSize-1); p += PageSize {
 			a.PageTrace(p/PageSize, kind)
 		}
 	}
-	if (addr+uint64(len(buf))-1)&^uint64(PageSize-1) == base {
-		pg := a.Enclave.page(base)
-		if pg == nil {
-			return &evm.Fault{Kind: evm.FaultBadAddress, Addr: addr, Msg: "unmapped enclave page"}
+	for len(buf) > 0 {
+		pg, f := a.check(addr, kind)
+		if f != nil {
+			return f
 		}
-		if pg.perm&need == 0 {
-			return &evm.Fault{
-				Kind: permFaultKind(kind), Addr: addr,
-				Msg: "EPCM permissions " + pg.perm.String(),
-			}
-		}
-		off := addr & (PageSize - 1)
-		if write {
-			if pg.perm&PermX != 0 {
-				pg.writeGen++
-			}
-			copy(pg.data[off:], buf)
+		var n int
+		if kind == evm.Write {
+			n = copy(pg.data[addr&(PageSize-1):], buf)
 		} else {
-			copy(buf, pg.data[off:])
+			n = copy(buf, pg.data[addr&(PageSize-1):])
 		}
-		return nil
-	}
-	for i := range buf {
-		va := addr + uint64(i)
-		pg := a.Enclave.page(va)
-		if pg == nil {
-			return &evm.Fault{Kind: evm.FaultBadAddress, Addr: va, Msg: "unmapped enclave page"}
-		}
-		if pg.perm&need == 0 {
-			return &evm.Fault{
-				Kind: permFaultKind(kind), Addr: va,
-				Msg: "EPCM permissions " + pg.perm.String(),
-			}
-		}
-		off := va & (PageSize - 1)
-		if write {
-			if pg.perm&PermX != 0 {
-				pg.writeGen++
-			}
-			pg.data[off] = buf[i]
-		} else {
-			buf[i] = pg.data[off]
-		}
+		addr += uint64(n)
+		buf = buf[n:]
 	}
 	return nil
 }
 
-func permFaultKind(kind evm.Access) evm.FaultKind {
-	switch kind {
-	case evm.Read:
-		return evm.FaultReadPerm
-	case evm.Write:
-		return evm.FaultWritePerm
-	default:
-		return evm.FaultExecPerm
-	}
+// inPage reports whether an n-byte access at addr can skip access: it
+// lies within one page and no trace is recording.
+func (a *AddressSpace) inPage(addr uint64, n int) bool {
+	return addr&(PageSize-1)+uint64(n) <= PageSize && a.PageTrace == nil
 }
 
 // Fetch implements evm.Bus. Instruction fetches must come from executable
@@ -128,35 +101,44 @@ func (a *AddressSpace) Fetch(addr uint64, dst []byte) *evm.Fault {
 	if !a.inELRange(addr) {
 		return &evm.Fault{Kind: evm.FaultExecPerm, Addr: addr, Msg: "fetch outside ELRANGE"}
 	}
-	return a.access(addr, dst, evm.Exec, false)
+	return a.access(addr, dst, evm.Exec)
 }
 
 // Load implements evm.Bus.
 func (a *AddressSpace) Load(addr uint64, n int) (uint64, *evm.Fault) {
-	if a.inELRange(addr) {
-		var buf [8]byte
-		if f := a.access(addr, buf[:n], evm.Read, false); f != nil {
+	if !a.inELRange(addr) {
+		return a.Untrusted.Load(addr, n)
+	}
+	if a.inPage(addr, n) {
+		pg, f := a.check(addr, evm.Read)
+		if f != nil {
 			return 0, f
 		}
-		return leLoad(buf[:n]), nil
+		return evm.LoadLE(pg.data[addr&(PageSize-1):], n), nil
 	}
-	return a.Untrusted.Load(addr, n)
+	var buf [8]byte
+	if f := a.access(addr, buf[:n], evm.Read); f != nil {
+		return 0, f
+	}
+	return evm.LoadLE(buf[:], n), nil
 }
 
 // Store implements evm.Bus.
 func (a *AddressSpace) Store(addr uint64, n int, v uint64) *evm.Fault {
-	if a.inELRange(addr) {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		return a.access(addr, buf[:n], evm.Write, true)
+	if !a.inELRange(addr) {
+		return a.Untrusted.Store(addr, n, v)
 	}
-	return a.Untrusted.Store(addr, n, v)
-}
-
-func leLoad(b []byte) uint64 {
+	if a.inPage(addr, n) {
+		pg, f := a.check(addr, evm.Write)
+		if f != nil {
+			return f
+		}
+		evm.StoreLE(pg.data[addr&(PageSize-1):], n, v)
+		return nil
+	}
 	var buf [8]byte
-	copy(buf[:], b)
-	return binary.LittleEndian.Uint64(buf[:])
+	evm.StoreLE(buf[:], 8, v)
+	return a.access(addr, buf[:n], evm.Write)
 }
 
 // EnclaveReadBytes copies out enclave memory on behalf of *enclave* code
@@ -164,7 +146,7 @@ func leLoad(b []byte) uint64 {
 func (a *AddressSpace) EnclaveReadBytes(addr uint64, n int) ([]byte, *evm.Fault) {
 	out := make([]byte, n)
 	if a.inELRange(addr) {
-		if f := a.access(addr, out, evm.Read, false); f != nil {
+		if f := a.access(addr, out, evm.Read); f != nil {
 			return nil, f
 		}
 		return out, nil
@@ -183,7 +165,7 @@ func (a *AddressSpace) EnclaveReadBytes(addr uint64, n int) ([]byte, *evm.Fault)
 // enclave code. Requires W on enclave pages.
 func (a *AddressSpace) EnclaveWriteBytes(addr uint64, data []byte) *evm.Fault {
 	if a.inELRange(addr) {
-		return a.access(addr, data, evm.Write, true)
+		return a.access(addr, data, evm.Write)
 	}
 	for i, b := range data {
 		if f := a.Untrusted.Store(addr+uint64(i), 1, uint64(b)); f != nil {

@@ -25,11 +25,6 @@ type Enclave struct {
 	MrSigner    [32]byte  // SHA-256 of the signer's modulus, fixed at EINIT
 	initialized bool
 	destroyed   bool
-
-	// codeVersion increases whenever executable enclave memory may have
-	// changed (writes to X pages, EMODPR); the VM's decoded-instruction
-	// cache keys on it, keeping self-modifying code correct.
-	codeVersion uint64
 }
 
 // Initialized reports whether EINIT has succeeded.
@@ -185,7 +180,7 @@ func (p *Platform) EModPR(e *Enclave, vaddr uint64, perm Perm) error {
 		return fmt.Errorf("sgx: EMODPR: cannot extend permissions %v -> %v", pg.perm, perm)
 	}
 	pg.perm = perm
-	e.codeVersion++
+	pg.writeGen++
 	return nil
 }
 
@@ -203,8 +198,9 @@ func (p *Platform) Destroy(e *Enclave) {
 	if e.destroyed {
 		return
 	}
-	for _, ent := range e.epcm {
-		if ent.data != nil {
+	for i := range e.epcm {
+		if ent := &e.epcm[i]; ent.data != nil {
+			ent.writeGen++ // a VM running the enclave's code must fetch, and fault, again
 			p.freePage(ent.data)
 		}
 	}

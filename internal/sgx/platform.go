@@ -64,7 +64,9 @@ type epcmEntry struct {
 	perm Perm
 
 	// writeGen increases on every write to this page while it is
-	// executable, invalidating the VM's decoded-instruction cache for it.
+	// executable, on EMODPR and on Destroy. It is the page's generation
+	// word: the VM's decoded-instruction cache holds the page's decodes
+	// while it holds (see evm.CodePages).
 	writeGen uint64
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // testEnv builds a CA + platform pair.
-func testEnv(t *testing.T, cfg Config) (*CA, *Platform) {
+func testEnv(t testing.TB, cfg Config) (*CA, *Platform) {
 	t.Helper()
 	ca, err := NewCA()
 	if err != nil {
@@ -27,7 +27,7 @@ func testEnv(t *testing.T, cfg Config) (*CA, *Platform) {
 
 // devKey generates a small RSA signing key (1024 bits: fast for tests; the
 // signer tool defaults to 3072).
-func devKey(t *testing.T) *rsa.PrivateKey {
+func devKey(t testing.TB) *rsa.PrivateKey {
 	t.Helper()
 	key, err := rsa.GenerateKey(rand.Reader, 1024)
 	if err != nil {
@@ -44,7 +44,7 @@ const (
 
 // buildEnclave creates, populates, measures, signs, and initializes an
 // enclave with the given page contents.
-func buildEnclave(t *testing.T, p *Platform, key *rsa.PrivateKey, pages map[uint64][]byte, perms map[uint64]Perm) *Enclave {
+func buildEnclave(t testing.TB, p *Platform, key *rsa.PrivateKey, pages map[uint64][]byte, perms map[uint64]Perm) *Enclave {
 	t.Helper()
 	e := addPages(t, p, pages, perms)
 	ss, err := SignEnclave(key, e.Measure(), 1, 1)
@@ -59,7 +59,7 @@ func buildEnclave(t *testing.T, p *Platform, key *rsa.PrivateKey, pages map[uint
 
 // addPages ECREATEs the test ELRANGE, then EADDs and EEXTENDs the given
 // pages in ascending address order, each with perms[va] (default r-x).
-func addPages(t *testing.T, p *Platform, pages map[uint64][]byte, perms map[uint64]Perm) *Enclave {
+func addPages(t testing.TB, p *Platform, pages map[uint64][]byte, perms map[uint64]Perm) *Enclave {
 	t.Helper()
 	e, err := p.ECreate(base, size, entry)
 	if err != nil {
